@@ -7,6 +7,10 @@
 /// widest ("The priority of Port labels is given by exact matching label
 /// following by the tightest range matching label") — Table IV's example
 /// orders B (exact 7812), C ([7810,7820]), A (full range) for port 7812.
+///
+/// Each register also carries its label's priority bound (see
+/// PriorityBound), which the exact phase-3 combine reads to prune label
+/// combinations that cannot beat its best hit.
 #pragma once
 
 #include <map>
@@ -42,9 +46,16 @@ class PortRegisterFile {
 
   // ---- controller-side update path ----
 
-  /// Program one register with \p range -> \p label.
+  /// Program one register with \p range -> \p label and its priority
+  /// \p bound (one register write).
   /// \throws CapacityError when all registers are in use.
-  void insert(ruleset::PortRange range, Label label, hw::CommandLog& log);
+  void insert(ruleset::PortRange range, Label label, hw::CommandLog& log,
+              PriorityBound bound = 0);
+
+  /// Rewrite the bound of the register holding \p range (one register
+  /// write).
+  void set_bound(ruleset::PortRange range, PriorityBound bound,
+                 hw::CommandLog& log);
 
   /// Clear the register holding \p range.
   void remove(ruleset::PortRange range, hw::CommandLog& log);
@@ -59,9 +70,11 @@ class PortRegisterFile {
   [[nodiscard]] std::vector<Label> lookup(u16 port,
                                           hw::CycleRecorder* rec) const;
 
-  /// Allocation-free lookup(): appends the Table IV-ordered labels into
-  /// caller-owned scratch (the classifier's per-packet hot path).
-  void lookup_into(u16 port, hw::CycleRecorder* rec, LabelVec& out) const;
+  /// The matching labels with their bounds, ordered by ascending bound
+  /// (ties in Table IV order): the order the bounded phase-3 combine
+  /// walks. Same cost as lookup().
+  void lookup_bounded_into(u16 port, hw::CycleRecorder* rec, LabelVec& out,
+                           BoundVec& bounds) const;
 
   /// First (highest-priority) matching label only — what the FirstLabel
   /// combiner consumes. Same cost as lookup(); no allocation.
@@ -69,8 +82,9 @@ class PortRegisterFile {
 
   /// Phase-2 batch lookup over \p sorted lanes (ascending by key). The
   /// parallel compare + priority network is evaluated once per
-  /// *distinct* port; its Table IV-ordered labels are appended to
-  /// \p pool once and every lane of the run points at that range via
+  /// *distinct* port; its lookup_bounded_into() labels are appended to
+  /// \p pool (their bounds to \p bound_pool, at the same offsets) once
+  /// and every lane of the run points at that range via
   /// spans[lane.slot]. Each lane's recorder is charged the fixed
   /// parallel-compare cost (identical to the scalar lookup — register
   /// reads are never memory accesses). Requires spans/recs to cover
@@ -78,6 +92,7 @@ class PortRegisterFile {
   void lookup_batch_into(std::span<const BatchKey> sorted,
                          std::span<hw::CycleRecorder> recs,
                          std::vector<Label>& pool,
+                         std::vector<PriorityBound>& bound_pool,
                          std::span<LabelSpan> spans) const;
 
   /// FirstLabel batch variant: one winner min-scan per distinct port
@@ -95,8 +110,15 @@ class PortRegisterFile {
   [[nodiscard]] usize range_count() const { return slot_of_.size(); }
 
  private:
-  /// Register word layout (LSB first): valid(1) lo(16) hi(16) label(7).
-  static hw::Word encode(bool valid, ruleset::PortRange r, Label l);
+  /// Register word layout (LSB first): valid(1) lo(16) hi(16) label(7)
+  /// bound(16).
+  static hw::Word encode(bool valid, ruleset::PortRange r, Label l,
+                         PriorityBound bound);
+
+  /// Call \p fn with the decoded range match of every valid register
+  /// whose range contains \p port (the parallel compare).
+  template <typename Fn>
+  void for_each_match(u16 port, Fn&& fn) const;
 
   hw::RegisterFile regs_;
   std::map<ruleset::PortRange, u32> slot_of_;

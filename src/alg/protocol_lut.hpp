@@ -9,6 +9,9 @@
 /// determined by the exact matching value" — exact label first, wildcard
 /// second. Lookup is a single memory access (§V.B: "executed in a single
 /// clock cycle").
+///
+/// Every LUT word and the wildcard register also carry their label's
+/// priority bound (see PriorityBound) for the bounded phase-3 combine.
 #pragma once
 
 #include <optional>
@@ -36,9 +39,15 @@ class ProtocolLut {
 
   // ---- controller-side update path ----
 
-  /// Program \p match -> \p label (one LUT word, or the wildcard
-  /// register).
-  void insert(ruleset::ProtoMatch match, Label label, hw::CommandLog& log);
+  /// Program \p match -> \p label and its priority \p bound (one LUT
+  /// word, or the wildcard register).
+  void insert(ruleset::ProtoMatch match, Label label, hw::CommandLog& log,
+              PriorityBound bound = 0);
+
+  /// Rewrite the bound of the programmed \p match (one LUT word or
+  /// wildcard register write).
+  void set_bound(ruleset::ProtoMatch match, PriorityBound bound,
+                 hw::CommandLog& log);
 
   void remove(ruleset::ProtoMatch match, hw::CommandLog& log);
 
@@ -50,19 +59,24 @@ class ProtocolLut {
   [[nodiscard]] std::vector<Label> lookup(u8 proto,
                                           hw::CycleRecorder* rec) const;
 
-  /// Allocation-free lookup() into caller-owned scratch.
-  void lookup_into(u8 proto, hw::CycleRecorder* rec, LabelVec& out) const;
+  /// The matching labels with their bounds, ordered by ascending bound
+  /// (ties: exact first) — the bounded combine's walk order. Same cost
+  /// as lookup().
+  void lookup_bounded_into(u8 proto, hw::CycleRecorder* rec, LabelVec& out,
+                           BoundVec& bounds) const;
 
   [[nodiscard]] Label lookup_first(u8 proto, hw::CycleRecorder* rec) const;
 
   /// Phase-2 batch lookup over \p sorted lanes (ascending by key). The
-  /// LUT word of each *distinct* protocol is fetched once; every lane
-  /// of the run shares its pool range and is charged the scalar cost
-  /// (one LUT read; the wildcard register rides for free). Requires
-  /// spans/recs to cover every slot.
+  /// LUT word of each *distinct* protocol is fetched once and its
+  /// lookup_bounded_into() labels pooled (bounds into \p bound_pool at
+  /// the same offsets); every lane of the run shares its pool range and
+  /// is charged the scalar cost (one LUT read; the wildcard register
+  /// rides for free). Requires spans/recs to cover every slot.
   void lookup_batch_into(std::span<const BatchKey> sorted,
                          std::span<hw::CycleRecorder> recs,
                          std::vector<Label>& pool,
+                         std::vector<PriorityBound>& bound_pool,
                          std::span<LabelSpan> spans) const;
 
   /// FirstLabel batch variant: pools only the winning label (exact

@@ -74,4 +74,7 @@ class SmallVec {
 /// a handful of labels); longer lists spill to the heap, correctly.
 using LabelVec = SmallVec<Label, 8>;
 
+/// The priority bounds paired with a port/protocol LabelVec.
+using BoundVec = SmallVec<PriorityBound, 8>;
+
 }  // namespace pclass

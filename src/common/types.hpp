@@ -28,6 +28,21 @@ using Priority = u32;
 /// Sentinel priority used for "no match".
 inline constexpr Priority kNoPriority = std::numeric_limits<Priority>::max();
 
+/// Device-resident priority bound of a port or protocol label: the best
+/// priority of any installed rule holding the label, in the 16-bit
+/// field its register or LUT word carries. Every such rule has priority
+/// >= the bound; 0 is the loosest bound (prunes nothing).
+using PriorityBound = u16;
+inline constexpr unsigned kPriorityBoundBits = 16;
+
+/// The bound field's value for best priority \p p. Saturates, which
+/// keeps it a valid lower bound for priorities beyond 16 bits.
+[[nodiscard]] constexpr PriorityBound to_bound(Priority p) {
+  return p > std::numeric_limits<PriorityBound>::max()
+             ? std::numeric_limits<PriorityBound>::max()
+             : static_cast<PriorityBound>(p);
+}
+
 /// Strongly-typed rule identifier. A RuleId is stable across incremental
 /// updates (it is not an index into a vector that might be compacted).
 struct RuleId {

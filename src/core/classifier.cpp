@@ -31,6 +31,12 @@ u64 ipalg_signal(IpAlgorithm a) {
 
 constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
 
+constexpr usize kSport = index_of(Dimension::kSrcPort);
+constexpr usize kDport = index_of(Dimension::kDstPort);
+constexpr usize kProto = index_of(Dimension::kProtocol);
+/// The dimensions whose labels carry a device-resident priority bound.
+constexpr std::array<usize, 3> kBoundedDims = {kSport, kDport, kProto};
+
 /// Process-unique device ids (start at 1; 0 is ProbeMemo's "unbound").
 u64 next_device_id() {
   static std::atomic<u64> counter{0};
@@ -144,9 +150,7 @@ hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
 }
 
 std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
-    const ruleset::Rule& r, hw::CommandLog& log,
-    std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>*
-        bst_bulk) {
+    const ruleset::Rule& r, hw::CommandLog& log, BulkStage* bulk) {
   std::array<Label, kNumDimensions> labels{};
 
   for (usize i = 0; i < 4; ++i) {
@@ -166,8 +170,8 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
           rvh_[i]->insert(v, acq.label, log);
           break;
         case IpAlgorithm::kBst:
-          if (bst_bulk != nullptr) {
-            (*bst_bulk)[i].emplace_back(v, acq.label);
+          if (bulk != nullptr) {
+            bulk->bst[i].emplace_back(v, acq.label);
           } else {
             bst_[i]->insert(v, acq.label, log);
           }
@@ -184,7 +188,7 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
           break;
         case IpAlgorithm::kBst:
           // bulk BST: the single rebuild at the end re-sorts everything
-          if (bst_bulk == nullptr) {
+          if (bulk == nullptr) {
             bst_[i]->refresh(v, log);
           }
           break;
@@ -192,28 +196,55 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
     }
   }
 
-  auto do_port = [&](alg::LabelTable<ruleset::PortRange>& table,
-                     alg::PortRegisterFile& regs, const ruleset::PortRange& v,
-                     Dimension d) {
+  // Port and protocol words carry their label's bound: programmed with
+  // the label, rewritten when the label's best priority moves.
+  auto do_field = [&](auto& table, auto& engine, const auto& v, Dimension d,
+                      auto* staged) {
     const alg::AcquireResult acq = table.acquire(v, r.priority);
     labels[index_of(d)] = acq.label;
-    label_prio_[index_of(d)][acq.label.value] = table.best_priority(v);
-    if (acq.created) {
-      regs.insert(v, acq.label, log);
+    Priority& shadow = label_prio_[index_of(d)][acq.label.value];
+    const Priority best = table.best_priority(v);
+    const bool rebound = !acq.created && to_bound(best) != to_bound(shadow);
+    shadow = best;
+    if (staged != nullptr) {
+      if (acq.created || rebound) staged->emplace(v, acq.created);
+    } else if (acq.created) {
+      engine.insert(v, acq.label, log, to_bound(best));
+    } else if (rebound) {
+      engine.set_bound(v, to_bound(best), log);
     }
   };
-  do_port(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
-  do_port(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
-
-  const alg::AcquireResult acq = proto_table_.acquire(r.proto, r.priority);
-  labels[index_of(Dimension::kProtocol)] = acq.label;
-  label_prio_[index_of(Dimension::kProtocol)][acq.label.value] =
-      proto_table_.best_priority(r.proto);
-  if (acq.created) {
-    proto_lut_->insert(r.proto, acq.label, log);
-  }
-
+  do_field(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort,
+           bulk != nullptr ? &bulk->sport : nullptr);
+  do_field(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort,
+           bulk != nullptr ? &bulk->dport : nullptr);
+  do_field(proto_table_, *proto_lut_, r.proto, Dimension::kProtocol,
+           bulk != nullptr ? &bulk->proto : nullptr);
   return labels;
+}
+
+void ConfigurableClassifier::flush_bulk(BulkStage& bulk,
+                                        hw::CommandLog& log) {
+  auto program = [&](auto& table, auto& engine, const auto& staged,
+                     Dimension d) {
+    for (const auto& [v, created] : staged) {
+      const Label l = *table.find(v);
+      const PriorityBound b = to_bound(label_prio_[index_of(d)][l.value]);
+      if (created) {
+        engine.insert(v, l, log, b);
+      } else {
+        engine.set_bound(v, b, log);
+      }
+    }
+  };
+  program(sport_table_, *sport_regs_, bulk.sport, Dimension::kSrcPort);
+  program(dport_table_, *dport_regs_, bulk.dport, Dimension::kDstPort);
+  program(proto_table_, *proto_lut_, bulk.proto, Dimension::kProtocol);
+  if (cfg_.ip_algorithm == IpAlgorithm::kBst) {
+    for (usize i = 0; i < 4; ++i) {
+      bst_[i]->insert_bulk(bulk.bst[i], log);
+    }
+  }
 }
 
 void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
@@ -243,29 +274,24 @@ void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
     }
   }
 
-  auto do_port = [&](alg::LabelTable<ruleset::PortRange>& table,
-                     alg::PortRegisterFile& regs,
-                     const ruleset::PortRange& v, Dimension d) {
+  auto do_field = [&](auto& table, auto& engine, const auto& v,
+                      Dimension d) {
     const alg::ReleaseResult rel = table.release(v, r.priority);
+    Priority& shadow = label_prio_[index_of(d)][rel.label.value];
     if (rel.freed) {
-      label_prio_[index_of(d)][rel.label.value] = kNoPriority;
-      regs.remove(v, log);
-    } else {
-      label_prio_[index_of(d)][rel.label.value] = table.best_priority(v);
+      shadow = kNoPriority;
+      engine.remove(v, log);
+      return;
     }
+    const Priority best = table.best_priority(v);
+    if (to_bound(best) != to_bound(shadow)) {
+      engine.set_bound(v, to_bound(best), log);
+    }
+    shadow = best;
   };
-  do_port(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
-  do_port(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
-
-  const alg::ReleaseResult rel = proto_table_.release(r.proto, r.priority);
-  if (rel.freed) {
-    label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
-        kNoPriority;
-    proto_lut_->remove(r.proto, log);
-  } else {
-    label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
-        proto_table_.best_priority(r.proto);
-  }
+  do_field(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
+  do_field(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
+  do_field(proto_table_, *proto_lut_, r.proto, Dimension::kProtocol);
 }
 
 hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
@@ -296,37 +322,37 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
 hw::UpdateStats ConfigurableClassifier::add_rules(
     const ruleset::RuleSet& rules) {
   hw::CommandLog log;
-  std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>
-      staged;
-  auto* bulk = cfg_.ip_algorithm == IpAlgorithm::kBst ? &staged : nullptr;
-
-  for (const ruleset::Rule& r : rules) {
-    if (!r.id.valid()) {
-      throw ConfigError("add_rules: rule must carry a valid RuleId");
+  BulkStage staged;
+  try {
+    for (const ruleset::Rule& r : rules) {
+      if (!r.id.valid()) {
+        throw ConfigError("add_rules: rule must carry a valid RuleId");
+      }
+      if (installed_.contains(r.id)) {
+        throw ConfigError("add_rules: duplicate rule id " +
+                          std::to_string(r.id.value));
+      }
+      const u64 fp = ruleset::match_fingerprint(r);
+      if (match_index_.contains(fp)) {
+        throw ConfigError("add_rules: duplicate match part (dedup the set "
+                          "first)");
+      }
+      const auto labels = acquire_labels(r, log, &staged);
+      const Key68 key = Key68::merge(labels);
+      log.hash_compute("rule_filter.hash");
+      filter_insert_with_reseed(key,
+                                RuleEntry{r.id, r.priority, r.action.token},
+                                log);
+      installed_.emplace(r.id, InstalledRule{r, key});
+      match_index_.emplace(fp, r.id);
     }
-    if (installed_.contains(r.id)) {
-      throw ConfigError("add_rules: duplicate rule id " +
-                        std::to_string(r.id.value));
-    }
-    const u64 fp = ruleset::match_fingerprint(r);
-    if (match_index_.contains(fp)) {
-      throw ConfigError("add_rules: duplicate match part (dedup the set "
-                        "first)");
-    }
-    const auto labels = acquire_labels(r, log, bulk);
-    const Key68 key = Key68::merge(labels);
-    log.hash_compute("rule_filter.hash");
-    filter_insert_with_reseed(key,
-                              RuleEntry{r.id, r.priority, r.action.token},
-                              log);
-    installed_.emplace(r.id, InstalledRule{r, key});
-    match_index_.emplace(fp, r.id);
+  } catch (...) {
+    // The rules before the failing one stay installed: program their
+    // staged words too, so the device matches the label tables.
+    flush_bulk(staged, log);
+    throw;
   }
-  if (bulk != nullptr) {
-    for (usize i = 0; i < 4; ++i) {
-      bst_[i]->insert_bulk(staged[i], log);
-    }
-  }
+  flush_bulk(staged, log);
   return apply(log);
 }
 
@@ -500,61 +526,29 @@ ClassifyResult ConfigurableClassifier::classify(
       out.match = rule_filter_->lookup(Key68::merge(first), &tail);
     }
   } else {
-    // CrossProduct: enumerate the product of the (short) label lists and
-    // keep the highest-priority hit — exact by construction.
+    // CrossProduct: the exact bounded combine over the (short) label
+    // lists, keeping the highest-priority hit.
     std::array<LabelVec, kNumDimensions> lists;
-    bool miss = false;
+    std::array<BoundVec, kNumDimensions> bounds;
     for (usize i = 0; i < 4; ++i) {
       lists_[i]->read_list_into(ip_refs[i], &recs[index_of(kIpDims[i])],
                                 lists[index_of(kIpDims[i])]);
-      if (lists[index_of(kIpDims[i])].empty()) miss = true;
     }
-    sport_regs_->lookup_into(h.src_port,
-                             &recs[index_of(Dimension::kSrcPort)],
-                             lists[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_into(h.dst_port,
-                             &recs[index_of(Dimension::kDstPort)],
-                             lists[index_of(Dimension::kDstPort)]);
-    proto_lut_->lookup_into(h.protocol,
-                            &recs[index_of(Dimension::kProtocol)],
-                            lists[index_of(Dimension::kProtocol)]);
-    if (lists[index_of(Dimension::kSrcPort)].empty() ||
-        lists[index_of(Dimension::kDstPort)].empty() ||
-        lists[index_of(Dimension::kProtocol)].empty()) {
-      miss = true;
+    sport_regs_->lookup_bounded_into(h.src_port, &recs[kSport],
+                                     lists[kSport], bounds[kSport]);
+    dport_regs_->lookup_bounded_into(h.dst_port, &recs[kDport],
+                                     lists[kDport], bounds[kDport]);
+    proto_lut_->lookup_bounded_into(h.protocol, &recs[kProto], lists[kProto],
+                                    bounds[kProto]);
+    CombineLists in;
+    for (usize d = 0; d < kNumDimensions; ++d) {
+      in.labels[d] = lists[d].begin();
+      in.len[d] = lists[d].size();
     }
-
-    if (!miss) {
-      std::array<usize, kNumDimensions> idx{};
-      std::array<Label, kNumDimensions> combo{};
-      std::optional<RuleEntry> best;
-      while (true) {
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          combo[d] = lists[d][idx[d]];
-        }
-        ++out.crossproduct_probes;
-        if (out.crossproduct_probes > cfg_.max_crossproduct_probes) {
-          throw InternalError("classify: cross-product probe bound "
-                              "exceeded — label lists pathologically "
-                              "long");
-        }
-        const std::optional<RuleEntry> hit =
-            rule_filter_->lookup(Key68::merge(combo), &tail);
-        if (hit && (!best || hit->priority < best->priority ||
-                    (hit->priority == best->priority &&
-                     hit->rule < best->rule))) {
-          best = hit;
-        }
-        // Odometer increment over the 7 lists.
-        usize d = 0;
-        for (; d < kNumDimensions; ++d) {
-          if (++idx[d] < lists[d].size()) break;
-          idx[d] = 0;
-        }
-        if (d == kNumDimensions) break;
-      }
-      out.match = best;
+    for (const usize d : kBoundedDims) {
+      in.bounds[d] = bounds[d].begin();
     }
+    bounded_combine(in, tail, nullptr, out);
   }
 
   u64 phase2_cycles = 0;
@@ -565,6 +559,65 @@ ClassifyResult ConfigurableClassifier::classify(
   out.cycles = 1 /*split*/ + phase2_cycles + tail.cycles();
   out.memory_accesses += tail.memory_accesses();
   return out;
+}
+
+void ConfigurableClassifier::bounded_combine(const CombineLists& lists,
+                                             hw::CycleRecorder& tail,
+                                             ProbeMemo* memo,
+                                             ClassifyResult& out) const {
+  // Walk order: the bounded (port, protocol) dimensions outermost, so
+  // their bounds can cut whole subtrees of IP-label combinations.
+  static constexpr std::array<Dimension, kNumDimensions> kWalk = {
+      Dimension::kSrcPort, Dimension::kDstPort, Dimension::kProtocol,
+      Dimension::kSrcIpHi, Dimension::kSrcIpLo, Dimension::kDstIpHi,
+      Dimension::kDstIpLo};
+  for (const usize len : lists.len) {
+    if (len == 0) return;  // a dimension matched nothing: no combination
+  }
+  auto bound_at = [&](usize d, usize i) -> Priority {
+    return lists.bounds[d] != nullptr ? lists.bounds[d][i] : 0;
+  };
+  // rest[k]: the largest of the smallest bounds of walk levels k and
+  // deeper (each list ascends, so its smallest bound is its first).
+  std::array<Priority, kNumDimensions + 1> rest{};
+  for (usize k = kNumDimensions; k-- > 0;) {
+    rest[k] = std::max(rest[k + 1], bound_at(index_of(kWalk[k]), 0));
+  }
+
+  std::array<Label, kNumDimensions> combo{};
+  std::optional<RuleEntry> best;
+  auto walk = [&](auto& self, usize k, Priority acc) -> void {
+    const usize d = index_of(kWalk[k]);
+    for (usize i = 0; i < lists.len[d]; ++i) {
+      const Priority b = std::max(acc, bound_at(d, i));
+      // Every rule under this branch has priority >= max(b, rest). Cut
+      // only when that is strictly worse than the best hit (an equal
+      // priority may still win on the lower rule id); the list ascends,
+      // so the rest of it is cut too.
+      if (best && std::max(b, rest[k + 1]) > best->priority) return;
+      combo[d] = lists.labels[d][i];
+      if (k + 1 < kNumDimensions) {
+        self(self, k + 1, b);
+        continue;
+      }
+      if (++out.crossproduct_probes > cfg_.max_crossproduct_probes) {
+        throw InternalError("phase-3 combine probe bound exceeded — label "
+                            "lists pathologically long");
+      }
+      const Key68 key = Key68::merge(combo);
+      const std::optional<RuleEntry> hit =
+          memo != nullptr
+              ? rule_filter_->lookup_memo(key, &tail, *memo, out.memo_hits)
+              : rule_filter_->lookup(key, &tail);
+      if (hit && (!best || hit->priority < best->priority ||
+                  (hit->priority == best->priority &&
+                   hit->rule < best->rule))) {
+        best = hit;
+      }
+    }
+  };
+  walk(walk, 0, 0);
+  out.match = best;
 }
 
 ClassifyResult ConfigurableClassifier::classify_packet(
@@ -736,6 +789,7 @@ void ConfigurableClassifier::classify_batch_phase2(
     s.keys[d].resize(n);
     s.recs[d].assign(n, hw::CycleRecorder{});
     s.pools[d].clear();
+    s.bound_pools[d].clear();
     s.spans[d].assign(n, alg::LabelSpan{});
     s.span_hashes[d].clear();
   }
@@ -777,18 +831,15 @@ void ConfigurableClassifier::classify_batch_phase2(
   // variants skip list materialization and the priority-network sort
   // (mirroring the scalar path's lookup_first), at identical cost.
   if (cross) {
-    sport_regs_->lookup_batch_into(s.keys[index_of(Dimension::kSrcPort)],
-                                   s.recs[index_of(Dimension::kSrcPort)],
-                                   s.pools[index_of(Dimension::kSrcPort)],
-                                   s.spans[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_batch_into(s.keys[index_of(Dimension::kDstPort)],
-                                   s.recs[index_of(Dimension::kDstPort)],
-                                   s.pools[index_of(Dimension::kDstPort)],
-                                   s.spans[index_of(Dimension::kDstPort)]);
-    proto_lut_->lookup_batch_into(s.keys[index_of(Dimension::kProtocol)],
-                                  s.recs[index_of(Dimension::kProtocol)],
-                                  s.pools[index_of(Dimension::kProtocol)],
-                                  s.spans[index_of(Dimension::kProtocol)]);
+    sport_regs_->lookup_batch_into(s.keys[kSport], s.recs[kSport],
+                                   s.pools[kSport], s.bound_pools[kSport],
+                                   s.spans[kSport]);
+    dport_regs_->lookup_batch_into(s.keys[kDport], s.recs[kDport],
+                                   s.pools[kDport], s.bound_pools[kDport],
+                                   s.spans[kDport]);
+    proto_lut_->lookup_batch_into(s.keys[kProto], s.recs[kProto],
+                                  s.pools[kProto], s.bound_pools[kProto],
+                                  s.spans[kProto]);
   } else {
     sport_regs_->lookup_first_batch_into(
         s.keys[index_of(Dimension::kSrcPort)],
@@ -919,7 +970,7 @@ void ConfigurableClassifier::classify_batch_phase2(
       tail_accesses = tail.memory_accesses();
     } else {
       // Combine-level dedup: packets whose 7 label lists have identical
-      // *contents* run an identical odometer — run it once per distinct
+      // *contents* run an identical combine — run it once per distinct
       // list set and replay verdict + tail cost. The signature is a
       // per-dimension content hash (span identity would under-group:
       // distinct port keys with identical lists get distinct pool
@@ -949,53 +1000,20 @@ void ConfigurableClassifier::classify_batch_phase2(
         }
         hw::CycleRecorder tail;
         tail.charge(1, 0);  // label merge network
-        bool miss = false;
-        // Hoist the label lists into local pointer/length pairs: the
-        // probe loop below calls into the rule filter, so without this
-        // the compiler must reload the pool vectors' data pointers on
-        // every probe (and probes dominate the cross-product path).
-        std::array<const Label*, kNumDimensions> list_ptr{};
-        std::array<usize, kNumDimensions> list_len{};
+        CombineLists lists;
         for (usize d = 0; d < kNumDimensions; ++d) {
           const alg::LabelSpan sp = s.spans[d][p];
-          list_ptr[d] = s.pools[d].data() + sp.off;
-          list_len[d] = sp.len;
-          if (sp.len == 0) miss = true;
+          lists.labels[d] = s.pools[d].data() + sp.off;
+          lists.len[d] = sp.len;
         }
-        if (!miss) {
-          std::array<usize, kNumDimensions> idx{};
-          std::array<Label, kNumDimensions> combo{};
-          std::optional<RuleEntry> best;
-          while (true) {
-            for (usize d = 0; d < kNumDimensions; ++d) {
-              combo[d] = list_ptr[d][idx[d]];
-            }
-            ++fresh.probes;
-            if (fresh.probes > cfg_.max_crossproduct_probes) {
-              throw InternalError("classify_batch: cross-product probe "
-                                  "bound exceeded — label lists "
-                                  "pathologically long");
-            }
-            const Key68 key = Key68::merge(combo);
-            const std::optional<RuleEntry> hit =
-                memo != nullptr
-                    ? rule_filter_->lookup_memo(key, &tail, *memo,
-                                                fresh.memo_hits)
-                    : rule_filter_->lookup(key, &tail);
-            if (hit && (!best || hit->priority < best->priority ||
-                        (hit->priority == best->priority &&
-                         hit->rule < best->rule))) {
-              best = hit;
-            }
-            usize d = 0;
-            for (; d < kNumDimensions; ++d) {
-              if (++idx[d] < list_len[d]) break;
-              idx[d] = 0;
-            }
-            if (d == kNumDimensions) break;
-          }
-          fresh.match = best;
+        for (const usize d : kBoundedDims) {
+          lists.bounds[d] = s.bound_pools[d].data() + s.spans[d][p].off;
         }
+        ClassifyResult combined;
+        bounded_combine(lists, tail, memo, combined);
+        fresh.match = combined.match;
+        fresh.probes = combined.crossproduct_probes;
+        fresh.memo_hits = combined.memo_hits;
         fresh.tail_cycles = tail.cycles();
         fresh.tail_accesses = tail.memory_accesses();
         s.combine_memo.push_back(fresh);

@@ -61,7 +61,9 @@ struct ClassifyResult {
   std::optional<RuleEntry> match;
   u64 cycles = 0;            ///< end-to-end latency of this lookup
   u64 memory_accesses = 0;   ///< total block-memory reads
-  u64 crossproduct_probes = 0;  ///< hash probes issued in phase 3
+  /// Rule Filter probes issued in phase 3 (label combinations the
+  /// bounded combine did not cut).
+  u64 crossproduct_probes = 0;
   /// Probes served by the snapshot-keyed combination memo (0 on the
   /// scalar path; each hit is also counted in crossproduct_probes).
   u64 memo_hits = 0;
@@ -92,6 +94,9 @@ struct BatchScratch {
   std::array<std::vector<alg::BatchKey>, kNumDimensions> keys;
   std::array<std::vector<hw::CycleRecorder>, kNumDimensions> recs;
   std::array<std::vector<Label>, kNumDimensions> pools;
+  /// Priority bounds of the port and protocol pools, at the same
+  /// offsets (the IP dimensions carry none).
+  std::array<std::vector<PriorityBound>, kNumDimensions> bound_pools;
   std::array<std::vector<alg::LabelSpan>, kNumDimensions> spans;
   std::array<std::vector<alg::ListRef>, 4> ip_refs;
 
@@ -107,12 +112,13 @@ struct BatchScratch {
   };
   std::array<std::vector<ListReadMemo>, 4> list_memo;
 
-  /// One cross-product combine per distinct label-list *set* per batch:
+  /// One phase-3 combine per distinct label-list *set* per batch:
   /// packets whose 7 label lists have identical contents (duplicate
   /// flows; distinct keys whose matching ranges coincide — e.g. two
   /// dports falling only into the same wildcard range; fw-like sets
-  /// where wildcard labels dominate every list) share one odometer run
-  /// and replay its verdict and modeled tail cost. The signature is a
+  /// where wildcard labels dominate every list) share one combine run
+  /// and replay its verdict and modeled tail cost (equal labels carry
+  /// equal bounds, so the runs would be identical). The signature is a
   /// per-dimension *content hash* of the pooled list (span identity
   /// under-groups: two distinct port keys with identical lists get
   /// distinct pool ranges); the leader's spans are kept so a signature
@@ -332,13 +338,27 @@ class ConfigurableClassifier {
   [[nodiscard]] static ruleset::SegmentPrefix ip_segment(
       const ruleset::Rule& r, usize ip_dim_index);
 
+  /// What add_rules() defers to the end of a bulk load: new IP prefixes
+  /// for the single BST rebuild (BST configuration only), and every port
+  /// and protocol value whose word the load creates or re-bounds (value
+  /// -> created), so each word is written once with its final bound.
+  struct BulkStage {
+    std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>
+        bst;
+    std::map<ruleset::PortRange, bool> sport;
+    std::map<ruleset::PortRange, bool> dport;
+    std::map<ruleset::ProtoMatch, bool> proto;
+  };
+
   /// Acquire all 7 labels for a rule, inserting/refreshing engine state
-  /// as needed. When \p bst_bulk is non-null (bulk load under BST), new
-  /// IP prefixes are staged there instead of rebuilding per rule.
-  std::array<Label, kNumDimensions> acquire_labels(
-      const ruleset::Rule& r, hw::CommandLog& log,
-      std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>*
-          bst_bulk);
+  /// (and port/protocol bounds) as needed. When \p bulk is non-null,
+  /// the BulkStage work is staged there instead of written per rule.
+  std::array<Label, kNumDimensions> acquire_labels(const ruleset::Rule& r,
+                                                   hw::CommandLog& log,
+                                                   BulkStage* bulk);
+
+  /// Write what add_rules() staged.
+  void flush_bulk(BulkStage& bulk, hw::CommandLog& log);
 
   void release_labels(const ruleset::Rule& r, hw::CommandLog& log);
 
@@ -355,6 +375,24 @@ class ConfigurableClassifier {
   void classify_batch_phase2(std::span<const net::FiveTuple> in,
                              std::span<ClassifyResult> out,
                              BatchScratch& scratch, bool use_memo) const;
+
+  /// Phase-3 input of one lookup: the seven label lists, indexed by
+  /// dimension. Port and protocol lists come in ascending-bound order
+  /// with their bounds; the IP lists have none (nullptr).
+  struct CombineLists {
+    std::array<const Label*, kNumDimensions> labels{};
+    std::array<const PriorityBound*, kNumDimensions> bounds{};
+    std::array<usize, kNumDimensions> len{};
+  };
+
+  /// The exact phase-3 combine shared by classify() and the batch
+  /// engine: walks the label combinations depth-first (port and
+  /// protocol dimensions outermost) and cuts every branch whose bound
+  /// is strictly worse than the best hit so far. Probes go through
+  /// \p memo when non-null; sets out.match, out.crossproduct_probes
+  /// and out.memo_hits, and charges the probes to \p tail.
+  void bounded_combine(const CombineLists& lists, hw::CycleRecorder& tail,
+                       ProbeMemo* memo, ClassifyResult& out) const;
 
   void rebuild_active_ip_engines(hw::CommandLog& log);
 
@@ -377,6 +415,8 @@ class ConfigurableClassifier {
   alg::LabelTable<ruleset::PortRange> sport_table_;
   alg::LabelTable<ruleset::PortRange> dport_table_;
   alg::LabelTable<ruleset::ProtoMatch> proto_table_;
+  /// Best priority per live label: orders the IP label lists, and is
+  /// what the port/protocol bound fields were last written from.
   std::array<std::vector<Priority>, kNumDimensions> label_prio_;
 
   // Device-side blocks.

@@ -95,7 +95,7 @@ TEST(ControlProtocol, ParsesRuleCommands) {
 
 TEST(ControlProtocol, ParsesSetCommands) {
   const std::vector<std::string> pp = {"path-policy", "scalar-loop"};
-  const auto& cm = std::get<sdn::ConfigMod>(control::parse_set_command(pp));
+  const auto cm = std::get<sdn::ConfigMod>(control::parse_set_command(pp));
   ASSERT_TRUE(cm.path_policy.has_value());
   EXPECT_EQ(*cm.path_policy, core::PathPolicy::kForceScalarLoop);
 

@@ -452,6 +452,7 @@ int main(int argc, char** argv) {
     hw::CycleAggregate agg;
     usize hits = 0;
     u64 memo_hits = 0;
+    u64 probes = 0;
     std::vector<net::FiveTuple> headers;
     headers.reserve(trace.size());
     for (const auto& e : trace) headers.push_back(e.header);
@@ -472,6 +473,7 @@ int main(int argc, char** argv) {
       agg.add(rec);
       if (res.match) ++hits;
       memo_hits += res.memo_hits;
+      probes += res.crossproduct_probes;
     }
 
     const core::ThroughputModel rate{cfg.fmax_mhz};
@@ -515,6 +517,11 @@ int main(int argc, char** argv) {
     t.add_row({"hits", std::to_string(hits) + "/" +
                            std::to_string(trace.size())});
     t.add_row({"mean cycles/lookup", TextTable::num(agg.mean_cycles())});
+    t.add_row({"mean probes/lookup",
+               TextTable::num(results.empty()
+                                  ? 0.0
+                                  : static_cast<double>(probes) /
+                                        static_cast<double>(results.size()))});
     t.add_row({"mean accesses/lookup", TextTable::num(agg.mean_accesses())});
     t.add_row({"worst cycles", std::to_string(agg.max_cycles())});
     t.add_row({"pipelined rate", TextTable::num(
