@@ -102,7 +102,8 @@ Point run_point(const core::ConfigurableClassifier& clf,
   return p;
 }
 
-/// Verdict + access parity of a phase-2 run against the scalar results.
+/// Verdict, access, probe and filter-check parity of a phase-2 run
+/// against the scalar results.
 bool equivalent(const std::vector<core::ClassifyResult>& got,
                 const std::vector<core::ClassifyResult>& want) {
   for (usize i = 0; i < got.size(); ++i) {
@@ -111,7 +112,8 @@ bool equivalent(const std::vector<core::ClassifyResult>& got,
         (!got[i].match || (got[i].match->rule == want[i].match->rule &&
                            got[i].match->priority == want[i].match->priority));
     if (!same_match || got[i].memory_accesses != want[i].memory_accesses ||
-        got[i].crossproduct_probes != want[i].crossproduct_probes) {
+        got[i].crossproduct_probes != want[i].crossproduct_probes ||
+        got[i].filter_checks != want[i].filter_checks) {
       return false;
     }
   }
@@ -435,7 +437,7 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: batch ablation found scalar/phase2 divergence\n";
     return 1;
   }
-  std::cout << "OK: phase-2 verdicts and access counts match the scalar "
-               "path on all shapes\n";
+  std::cout << "OK: phase-2 verdicts, probes, filter checks and access "
+               "counts match the scalar path on all shapes\n";
   return 0;
 }

@@ -78,7 +78,8 @@ int main() {
   u.print(std::cout);
 
   // In BST mode, the MBT-dedicated L1/L3 blocks idle; their capacity is
-  // the "rest of the memory ... used to collect more rules".
+  // the "rest of the memory ... used to collect more rules". A rule takes
+  // a Rule Filter entry and, at worst, a partial-filter entry.
   u64 freed = 0;
   for (const auto& b : clf.memory_report().blocks) {
     if (b.name.find(".mbt.") != std::string::npos) {
@@ -87,7 +88,9 @@ int main() {
   }
   const double extra_rules =
       static_cast<double>(freed) /
-      (static_cast<double>(core::RuleFilter::kWordBits) / 0.7);
+      (static_cast<double>(core::RuleFilter::kWordBits +
+                           core::PartialFilter::kWordBits) /
+       0.7);
   std::cout << "\nBST binding frees " << mb(freed)
             << " Mb of MBT level-1/3 capacity = room for ~"
             << static_cast<u64>(extra_rules)

@@ -55,11 +55,14 @@ int main() {
     }
     // Rule capacity under the fixed budget: bits left for the Rule
     // Filter after the live IP structures + labels, at the configured
-    // entry width and load headroom.
+    // entry width and load headroom. A rule may also need its own
+    // partial-filter entry, which is sized with the Rule Filter.
     const u64 budget = mem.total_capacity_bits;
     const u64 overhead = r.ip_live_bits + r.label_live_bits;
     const double entry_bits =
-        static_cast<double>(core::RuleFilter::kWordBits) / kLoadHeadroom;
+        static_cast<double>(core::RuleFilter::kWordBits +
+                            core::PartialFilter::kWordBits) /
+        kLoadHeadroom;
     r.rule_capacity = static_cast<usize>(
         static_cast<double>(budget - std::min(budget, overhead)) /
         entry_bits);

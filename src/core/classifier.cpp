@@ -34,8 +34,13 @@ constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
 constexpr usize kSport = index_of(Dimension::kSrcPort);
 constexpr usize kDport = index_of(Dimension::kDstPort);
 constexpr usize kProto = index_of(Dimension::kProtocol);
+constexpr usize kSrcIpHi = index_of(Dimension::kSrcIpHi);
 /// The dimensions whose labels carry a device-resident priority bound.
 constexpr std::array<usize, 3> kBoundedDims = {kSport, kDport, kProto};
+
+/// Salt separating the partial filter's hash seed from the Rule
+/// Filter's.
+constexpr u64 kPartialFilterSalt = 0x5041525446494C54ULL;
 
 /// Process-unique device ids (start at 1; 0 is ProbeMemo's "unbound").
 u64 next_device_id() {
@@ -114,6 +119,9 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
   rule_filter_ = std::make_unique<RuleFilter>(
       "rule_filter", cfg_.rule_filter_depth, cfg_.rule_filter_max_probes,
       cfg_.hash_seed);
+  partial_filter_ = std::make_unique<PartialFilter>(
+      "partial_filter", cfg_.rule_filter_depth, cfg_.rule_filter_max_probes,
+      mix64(cfg_.hash_seed ^ kPartialFilterSalt));
 }
 
 ConfigurableClassifier::~ConfigurableClassifier() = default;
@@ -240,6 +248,12 @@ void ConfigurableClassifier::flush_bulk(BulkStage& bulk,
   program(sport_table_, *sport_regs_, bulk.sport, Dimension::kSrcPort);
   program(dport_table_, *dport_regs_, bulk.dport, Dimension::kDstPort);
   program(proto_table_, *proto_lut_, bulk.proto, Dimension::kProtocol);
+
+  for (const auto& [fk, before] : bulk.filter) {
+    reprogram_prefix(fk, before, prefix_best(fk), log);
+  }
+  bulk.filter.clear();
+
   if (cfg_.ip_algorithm == IpAlgorithm::kBst) {
     for (usize i = 0; i < 4; ++i) {
       bst_[i]->insert_bulk(bulk.bst[i], log);
@@ -294,6 +308,88 @@ void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
   do_field(proto_table_, *proto_lut_, r.proto, Dimension::kProtocol);
 }
 
+std::optional<Priority> ConfigurableClassifier::prefix_best(u32 fk) const {
+  const auto it = prefix_prios_.find(fk);
+  if (it == prefix_prios_.end()) return std::nullopt;
+  return it->second.front();
+}
+
+void ConfigurableClassifier::filter_acquire(u32 fk, Priority prio,
+                                            hw::CommandLog& log,
+                                            BulkStage* bulk) {
+  auto it = prefix_prios_.find(fk);
+  const std::optional<Priority> before =
+      it == prefix_prios_.end() ? std::nullopt
+                                : std::optional<Priority>(it->second.front());
+  if (bulk != nullptr) {
+    bulk->filter.try_emplace(fk, before);
+  } else {
+    reprogram_prefix(fk, before, std::min(before.value_or(prio), prio), log);
+  }
+  if (it == prefix_prios_.end()) {
+    it = prefix_prios_.emplace(fk, std::vector<Priority>{}).first;
+  }
+  std::vector<Priority>& prios = it->second;
+  prios.insert(std::upper_bound(prios.begin(), prios.end(), prio), prio);
+}
+
+void ConfigurableClassifier::filter_release(u32 fk, Priority prio,
+                                            hw::CommandLog& log) {
+  const auto it = prefix_prios_.find(fk);
+  if (it == prefix_prios_.end()) {
+    throw InternalError("partial filter shadow lost a prefix");
+  }
+  std::vector<Priority>& prios = it->second;
+  const auto pos = std::lower_bound(prios.begin(), prios.end(), prio);
+  if (pos == prios.end() || *pos != prio) {
+    throw InternalError("partial filter shadow lost a rule");
+  }
+  const Priority before = prios.front();
+  prios.erase(pos);
+  std::optional<Priority> after;
+  if (prios.empty()) {
+    prefix_prios_.erase(it);
+  } else {
+    after = prios.front();
+  }
+  reprogram_prefix(fk, before, after, log);
+}
+
+void ConfigurableClassifier::reprogram_prefix(u32 fk,
+                                              std::optional<Priority> before,
+                                              std::optional<Priority> after,
+                                              hw::CommandLog& log) {
+  if (!after) {
+    partial_filter_->remove(fk, log);  // the controller knows the slot
+  } else if (!before || to_bound(*after) != to_bound(*before)) {
+    log.hash_compute("partial_filter.hash");
+    if (before) {
+      partial_filter_->set_bound(fk, to_bound(*after), log);
+    } else {
+      partial_filter_->insert(fk, to_bound(*after), log);
+    }
+  }
+}
+
+void ConfigurableClassifier::install(
+    const ruleset::Rule& r, u64 fp,
+    const std::array<Label, kNumDimensions>& labels, hw::CommandLog& log,
+    BulkStage* bulk) {
+  const Key68 key = Key68::merge(labels);
+  log.hash_compute("rule_filter.hash");
+  rule_filter_->insert_reseeding(
+      key, RuleEntry{r.id, r.priority, r.action.token}, log);
+  cfg_.hash_seed = rule_filter_->table().seed();
+  try {
+    filter_acquire(PartialFilter::key_of(key), r.priority, log, bulk);
+  } catch (...) {
+    rule_filter_->remove(key, log);
+    throw;
+  }
+  installed_.emplace(r.id, InstalledRule{r, key});
+  match_index_.emplace(fp, r.id);
+}
+
 hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
   if (!r.id.valid()) {
     throw ConfigError("add_rule: rule must carry a valid RuleId");
@@ -309,13 +405,7 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
                       std::to_string(match_index_.at(fp).value) + ")");
   }
   hw::CommandLog log;
-  const auto labels = acquire_labels(r, log, nullptr);
-  const Key68 key = Key68::merge(labels);
-  log.hash_compute("rule_filter.hash");
-  filter_insert_with_reseed(key, RuleEntry{r.id, r.priority, r.action.token},
-                            log);
-  installed_.emplace(r.id, InstalledRule{r, key});
-  match_index_.emplace(fp, r.id);
+  install(r, fp, acquire_labels(r, log, nullptr), log, nullptr);
   return apply(log);
 }
 
@@ -337,14 +427,7 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
         throw ConfigError("add_rules: duplicate match part (dedup the set "
                           "first)");
       }
-      const auto labels = acquire_labels(r, log, &staged);
-      const Key68 key = Key68::merge(labels);
-      log.hash_compute("rule_filter.hash");
-      filter_insert_with_reseed(key,
-                                RuleEntry{r.id, r.priority, r.action.token},
-                                log);
-      installed_.emplace(r.id, InstalledRule{r, key});
-      match_index_.emplace(fp, r.id);
+      install(r, fp, acquire_labels(r, log, &staged), log, &staged);
     }
   } catch (...) {
     // The rules before the failing one stay installed: program their
@@ -364,43 +447,12 @@ hw::UpdateStats ConfigurableClassifier::remove_rule(RuleId id) {
   }
   hw::CommandLog log;
   rule_filter_->remove(it->second.key, log);
+  filter_release(PartialFilter::key_of(it->second.key),
+                 it->second.rule.priority, log);
   release_labels(it->second.rule, log);
   match_index_.erase(ruleset::match_fingerprint(it->second.rule));
   installed_.erase(it);
   return apply(log);
-}
-
-void ConfigurableClassifier::filter_insert_with_reseed(
-    const Key68& key, const RuleEntry& entry, hw::CommandLog& log) {
-  constexpr u32 kMaxReseeds = 16;
-  while (true) {
-    try {
-      rule_filter_->insert(key, entry, log);
-      return;
-    } catch (const CapacityError&) {
-      if (rule_filter_->size() + 1 > rule_filter_->memory().depth()) {
-        throw;  // genuinely full: no seed can help
-      }
-      // Try successive salts; each reseed re-uploads the whole table
-      // through the log, so the caller sees the true recovery cost.
-      // reseed() restores the previous layout when a candidate seed
-      // fails, so state stays consistent throughout.
-      bool reseeded = false;
-      while (!reseeded && reseed_attempts_ < kMaxReseeds) {
-        ++reseed_attempts_;
-        cfg_.hash_seed = mix64(cfg_.hash_seed + reseed_attempts_);
-        try {
-          rule_filter_->reseed(cfg_.hash_seed, log);
-          reseeded = true;
-        } catch (const CapacityError&) {
-          // candidate seed also clusters; try the next one
-        }
-      }
-      if (!reseeded) {
-        throw;
-      }
-    }
-  }
 }
 
 hw::UpdateStats ConfigurableClassifier::modify_rule(RuleId id,
@@ -561,10 +613,10 @@ ClassifyResult ConfigurableClassifier::classify(
   return out;
 }
 
-void ConfigurableClassifier::bounded_combine(const CombineLists& lists,
-                                             hw::CycleRecorder& tail,
-                                             ProbeMemo* memo,
-                                             ClassifyResult& out) const {
+u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
+                                            hw::CycleRecorder& tail,
+                                            ProbeMemo* memo,
+                                            ClassifyResult& out) const {
   // Walk order: the bounded (port, protocol) dimensions outermost, so
   // their bounds can cut whole subtrees of IP-label combinations.
   static constexpr std::array<Dimension, kNumDimensions> kWalk = {
@@ -572,7 +624,7 @@ void ConfigurableClassifier::bounded_combine(const CombineLists& lists,
       Dimension::kSrcIpHi, Dimension::kSrcIpLo, Dimension::kDstIpHi,
       Dimension::kDstIpLo};
   for (const usize len : lists.len) {
-    if (len == 0) return;  // a dimension matched nothing: no combination
+    if (len == 0) return 0;  // a dimension matched nothing: no combination
   }
   auto bound_at = [&](usize d, usize i) -> Priority {
     return lists.bounds[d] != nullptr ? lists.bounds[d][i] : 0;
@@ -586,16 +638,31 @@ void ConfigurableClassifier::bounded_combine(const CombineLists& lists,
 
   std::array<Label, kNumDimensions> combo{};
   std::optional<RuleEntry> best;
+  hw::CycleRecorder checks;  // partial-filter checks, never memoized
   auto walk = [&](auto& self, usize k, Priority acc) -> void {
     const usize d = index_of(kWalk[k]);
     for (usize i = 0; i < lists.len[d]; ++i) {
-      const Priority b = std::max(acc, bound_at(d, i));
+      Priority b = std::max(acc, bound_at(d, i));
       // Every rule under this branch has priority >= max(b, rest). Cut
       // only when that is strictly worse than the best hit (an equal
       // priority may still win on the lower rule id); the list ascends,
       // so the rest of it is cut too.
       if (best && std::max(b, rest[k + 1]) > best->priority) return;
       combo[d] = lists.labels[d][i];
+      if (d == kSrcIpHi) {
+        // The 4-label prefix is complete: no rule holds it on a miss;
+        // on a hit every rule under it has priority >= the stored
+        // bound. The src_ip_hi list is not bound-ordered, so only this
+        // branch is cut.
+        ++out.filter_checks;
+        const std::optional<PriorityBound> held = partial_filter_->check(
+            PartialFilter::key_of(combo[kSport], combo[kDport],
+                                  combo[kProto], combo[kSrcIpHi]),
+            &checks);
+        if (!held) continue;
+        b = std::max<Priority>(b, *held);
+        if (best && std::max(b, rest[k + 1]) > best->priority) continue;
+      }
       if (k + 1 < kNumDimensions) {
         self(self, k + 1, b);
         continue;
@@ -618,6 +685,8 @@ void ConfigurableClassifier::bounded_combine(const CombineLists& lists,
   };
   walk(walk, 0, 0);
   out.match = best;
+  tail.charge(checks.cycles(), checks.memory_accesses());
+  return checks.cycles();
 }
 
 ClassifyResult ConfigurableClassifier::classify_packet(
@@ -1010,10 +1079,11 @@ void ConfigurableClassifier::classify_batch_phase2(
           lists.bounds[d] = s.bound_pools[d].data() + s.spans[d][p].off;
         }
         ClassifyResult combined;
-        bounded_combine(lists, tail, memo, combined);
+        fresh.filter_cycles = bounded_combine(lists, tail, memo, combined);
         fresh.match = combined.match;
         fresh.probes = combined.crossproduct_probes;
         fresh.memo_hits = combined.memo_hits;
+        fresh.filter_checks = combined.filter_checks;
         fresh.tail_cycles = tail.cycles();
         fresh.tail_accesses = tail.memory_accesses();
         s.combine_memo.push_back(fresh);
@@ -1021,19 +1091,22 @@ void ConfigurableClassifier::classify_batch_phase2(
         res.match = cm->match;
         res.crossproduct_probes = cm->probes;
         res.memo_hits = cm->memo_hits;
+        res.filter_checks = cm->filter_checks;
         tail_cycles = cm->tail_cycles;
         tail_accesses = cm->tail_accesses;
       } else {
         // Repeat list set. With the combination memo active, every
         // probe of this packet was just cached by its leader: each is
         // served in one cycle, still charging the replaced probe's
-        // reads. With the memo off (nothing was cached), replay the
-        // leader's full tail — cycle-exact with the scalar path.
+        // reads; the filter checks are charged in full. With the memo
+        // off (nothing was cached), replay the leader's full tail —
+        // cycle-exact with the scalar path.
         res.match = cm->match;
         res.crossproduct_probes = cm->probes;
+        res.filter_checks = cm->filter_checks;
         if (memo != nullptr) {
           res.memo_hits = cm->probes;
-          tail_cycles = 1 + cm->probes;
+          tail_cycles = 1 + cm->probes + cm->filter_cycles;
         } else {
           res.memo_hits = 0;
           tail_cycles = cm->tail_cycles;
@@ -1141,6 +1214,9 @@ MemoryReport ConfigurableClassifier::memory_report() const {
   add(rule_filter_->memory().name(),
       rule_filter_->memory().capacity_bits(),
       u64{rule_filter_->size()} * rule_filter_->memory().word_bits());
+  add(partial_filter_->memory().name(),
+      partial_filter_->memory().capacity_bits(),
+      u64{partial_filter_->size()} * partial_filter_->memory().word_bits());
 
   rep.register_bits = sport_regs_->registers().total_bits() +
                       dport_regs_->registers().total_bits() +
@@ -1162,16 +1238,28 @@ hw::SynthesisReport ConfigurableClassifier::synthesis_report() const {
   }
   sm.add_memory(proto_lut_->memory());
   sm.add_memory(rule_filter_->memory());
+  sm.add_memory(partial_filter_->memory());
   sm.add_register_file(sport_regs_->registers());
   sm.add_register_file(dport_regs_->registers());
   sm.add_register_file(proto_lut_->wildcard_register());
   // Four pipeline phases; the inter-phase registers carry the split
   // header plus the widest intermediate (7 list pointers / 68-bit key).
   sm.add_pipeline_stages(4, 160);
-  sm.add_hash_units(1);
+  sm.add_hash_units(2);  // Rule Filter probes + partial-filter checks
   sm.set_fmax_mhz(cfg_.fmax_mhz);
   sm.set_pins_used(500);
   return sm.report();
+}
+
+std::optional<PriorityBound> ConfigurableClassifier::partial_filter_bound(
+    const ruleset::Rule& r) const {
+  const std::optional<Label> sport = sport_table_.find(r.src_port);
+  const std::optional<Label> dport = dport_table_.find(r.dst_port);
+  const std::optional<Label> proto = proto_table_.find(r.proto);
+  const std::optional<Label> src_hi = ip_tables_[0].find(ip_segment(r, 0));
+  if (!sport || !dport || !proto || !src_hi) return std::nullopt;
+  return partial_filter_->check(
+      PartialFilter::key_of(*sport, *dport, *proto, *src_hi), nullptr);
 }
 
 usize ConfigurableClassifier::label_count(Dimension d) const {

@@ -47,14 +47,15 @@ namespace pclass::core {
 /// and what the phase-2 batch path must preserve):
 ///   cycles = 1 (header split) + max over the 7 dimension recorders
 ///            (phase 2 runs in parallel; the phase costs the slowest
-///            engine) + the tail recorder (label merge + every Rule
-///            Filter probe, serial);
+///            engine) + the tail recorder (label merge + every
+///            partial-filter check and Rule Filter probe, serial);
 ///   memory_accesses = the *sum* of all recorders' block-memory reads.
 /// The batch engine replays, per packet, exactly the charges the scalar
 /// path would make; the probe memo may lower `cycles` (a hit costs one
 /// cycle instead of hash + probe walk) but never changes
-/// `memory_accesses` or `crossproduct_probes` (a memoized probe still
-/// charges the reads it replaces — see core::ProbeMemo).
+/// `memory_accesses`, `crossproduct_probes` or `filter_checks` (a
+/// memoized probe still charges the reads it replaces — see
+/// core::ProbeMemo; filter checks are never memoized).
 struct ClassifyResult {
   /// The matched rule (HPMR under CrossProduct; under FirstLabel, the
   /// rule owning the first-label combination, when present).
@@ -67,6 +68,10 @@ struct ClassifyResult {
   /// Probes served by the snapshot-keyed combination memo (0 on the
   /// scalar path; each hit is also counted in crossproduct_probes).
   u64 memo_hits = 0;
+  /// Partial-combination filter checks issued in phase 3 (one per
+  /// src_ip_hi label the bounded combine reached; not Rule Filter
+  /// probes).
+  u64 filter_checks = 0;
 };
 
 /// Per-block memory occupancy snapshot.
@@ -126,13 +131,16 @@ struct BatchScratch {
   /// a hash collision can never corrupt a verdict. With the probe memo
   /// on, a repeat packet's probes are modeled as memo hits (one cycle +
   /// the replaced probe's reads each); with it off the leader's full
-  /// tail is replayed, keeping cycles scalar-exact.
+  /// tail is replayed, keeping cycles scalar-exact. Filter checks are
+  /// never memoized: a repeat packet pays their full cycles either way.
   struct CombineMemo {
     std::array<u64, kNumDimensions> sig{};
     std::array<alg::LabelSpan, kNumDimensions> spans{};
     std::optional<RuleEntry> match;
     u64 probes = 0;
     u64 memo_hits = 0;
+    u64 filter_checks = 0;
+    u64 filter_cycles = 0;
     u64 tail_cycles = 0;
     u64 tail_accesses = 0;
   };
@@ -324,6 +332,18 @@ class ConfigurableClassifier {
     return *lists_.at(ip_dim_index);
   }
 
+  /// The phase-3 partial-combination filter.
+  [[nodiscard]] const PartialFilter& partial_filter() const {
+    return *partial_filter_;
+  }
+
+  /// The bound the partial filter stores for \p r's label prefix
+  /// (source port, destination port, protocol, src_ip_hi), read as an
+  /// uncounted controller peek; nullopt when a field of \p r has no
+  /// label or the prefix has no entry.
+  [[nodiscard]] std::optional<PriorityBound> partial_filter_bound(
+      const ruleset::Rule& r) const;
+
  private:
   struct InstalledRule {
     ruleset::Rule rule;
@@ -339,15 +359,18 @@ class ConfigurableClassifier {
       const ruleset::Rule& r, usize ip_dim_index);
 
   /// What add_rules() defers to the end of a bulk load: new IP prefixes
-  /// for the single BST rebuild (BST configuration only), and every port
+  /// for the single BST rebuild (BST configuration only), every port
   /// and protocol value whose word the load creates or re-bounds (value
-  /// -> created), so each word is written once with its final bound.
+  /// -> created), and every partial-filter key the load touches (key ->
+  /// its best priority before the load, nullopt if new), so each word
+  /// is written once with its final bound.
   struct BulkStage {
     std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>
         bst;
     std::map<ruleset::PortRange, bool> sport;
     std::map<ruleset::PortRange, bool> dport;
     std::map<ruleset::ProtoMatch, bool> proto;
+    std::map<u32, std::optional<Priority>> filter;
   };
 
   /// Acquire all 7 labels for a rule, inserting/refreshing engine state
@@ -361,6 +384,27 @@ class ConfigurableClassifier {
   void flush_bulk(BulkStage& bulk, hw::CommandLog& log);
 
   void release_labels(const ruleset::Rule& r, hw::CommandLog& log);
+
+  /// Best priority of any installed rule under partial-filter key
+  /// \p fk (from the controller shadow); nullopt when none.
+  [[nodiscard]] std::optional<Priority> prefix_best(u32 fk) const;
+
+  /// Account an installed rule of priority \p prio under key \p fk:
+  /// program a new entry or rewrite a bound that improved (staged in
+  /// \p bulk when non-null).
+  void filter_acquire(u32 fk, Priority prio, hw::CommandLog& log,
+                      BulkStage* bulk);
+
+  /// Undo filter_acquire(): tombstone the entry when the last rule
+  /// leaves it, else rewrite a bound that moved.
+  void filter_release(u32 fk, Priority prio, hw::CommandLog& log);
+
+  /// Move partial-filter entry \p fk from best priority \p before to
+  /// \p after (nullopt = no rule under the key): one hash + one write
+  /// for a new entry or a moved bound, one tombstone write when the
+  /// last rule left, nothing otherwise.
+  void reprogram_prefix(u32 fk, std::optional<Priority> before,
+                        std::optional<Priority> after, hw::CommandLog& log);
 
   /// Charge a command batch on the update bus; returns the batch stats.
   hw::UpdateStats apply(hw::CommandLog& log);
@@ -387,23 +431,27 @@ class ConfigurableClassifier {
 
   /// The exact phase-3 combine shared by classify() and the batch
   /// engine: walks the label combinations depth-first (port and
-  /// protocol dimensions outermost) and cuts every branch whose bound
-  /// is strictly worse than the best hit so far. Probes go through
-  /// \p memo when non-null; sets out.match, out.crossproduct_probes
-  /// and out.memo_hits, and charges the probes to \p tail.
-  void bounded_combine(const CombineLists& lists, hw::CycleRecorder& tail,
-                       ProbeMemo* memo, ClassifyResult& out) const;
+  /// protocol dimensions outermost), checks the partial-combination
+  /// filter once a src_ip_hi label is chosen, and cuts every branch
+  /// that no rule holds or whose bound is strictly worse than the best
+  /// hit so far. Probes go through \p memo when non-null; filter checks
+  /// never do. Sets out.match, out.crossproduct_probes, out.memo_hits
+  /// and out.filter_checks, charges probes and checks to \p tail, and
+  /// returns the cycles the checks took.
+  u64 bounded_combine(const CombineLists& lists, hw::CycleRecorder& tail,
+                      ProbeMemo* memo, ClassifyResult& out) const;
 
   void rebuild_active_ip_engines(hw::CommandLog& log);
 
-  /// Insert into the rule filter, automatically re-seeding the hash and
-  /// re-uploading the table when a probe-bound CapacityError hits (the
-  /// controller-side recovery §IV.A implies).
-  void filter_insert_with_reseed(const Key68& key, const RuleEntry& entry,
-                                 hw::CommandLog& log);
+  /// Program rule \p r (match fingerprint \p fp) under its merged
+  /// label key into the Rule Filter and the partial filter (staged in
+  /// \p bulk when non-null) and record it as installed. A failed
+  /// partial-filter write takes the Rule Filter entry back out.
+  void install(const ruleset::Rule& r, u64 fp,
+               const std::array<Label, kNumDimensions>& labels,
+               hw::CommandLog& log, BulkStage* bulk);
 
   ClassifierConfig cfg_;
-  u32 reseed_attempts_ = 0;
   /// Process-unique device id (from a global counter, so a destroyed
   /// classifier's id is never reused the way its address could be) and
   /// the update epoch — the persistent ProbeMemo's binding key.
@@ -429,6 +477,11 @@ class ConfigurableClassifier {
   std::unique_ptr<alg::PortRegisterFile> dport_regs_;
   std::unique_ptr<alg::ProtocolLut> proto_lut_;
   std::unique_ptr<RuleFilter> rule_filter_;
+  std::unique_ptr<PartialFilter> partial_filter_;
+  /// Controller shadow of the partial filter: the priorities of the
+  /// installed rules under each key, ascending, so the first is the
+  /// key's best. A key with no rule has no entry.
+  std::unordered_map<u32, std::vector<Priority>> prefix_prios_;
 
   hw::UpdateBus bus_;
   std::map<RuleId, InstalledRule> installed_;

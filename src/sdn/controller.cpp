@@ -16,7 +16,9 @@ void Controller::broadcast(const Message& msg) {
 
 void Controller::configure(const AppRequirement& app, usize mbt_capacity) {
   const core::IpAlgorithm alg = select_algorithm(app, mbt_capacity);
-  broadcast(ConfigMod{alg});
+  ConfigMod mod;
+  mod.ip_algorithm = alg;
+  broadcast(mod);
 }
 
 void Controller::install(const ruleset::Rule& rule, ActionSpec action) {

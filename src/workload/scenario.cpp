@@ -261,16 +261,18 @@ std::string effective_shard_mode(usize shards, dataplane::ShardMode mode) {
 /// Engine geometry for a scenario (loop/shards vary per call site).
 EngineConfig engine_config(const ScenarioOptions& opts, WorkerBudget* budget,
                            bool loop, usize shards) {
-  return {.workers = opts.workers,
-          .batch_size = opts.batch_size,
-          .flow_cache_depth = opts.flow_cache_depth,
-          .loop = loop,
-          .budget = budget,
-          .stats_interval_ms = opts.stats_interval_ms,
-          .collect_trace = opts.collect_trace,
-          .shards = shards,
-          .shard_mode = opts.shard_mode,
-          .steer_symmetric = opts.steer_symmetric};
+  EngineConfig cfg;
+  cfg.workers = opts.workers;
+  cfg.batch_size = opts.batch_size;
+  cfg.flow_cache_depth = opts.flow_cache_depth;
+  cfg.loop = loop;
+  cfg.budget = budget;
+  cfg.stats_interval_ms = opts.stats_interval_ms;
+  cfg.collect_trace = opts.collect_trace;
+  cfg.shards = shards;
+  cfg.shard_mode = opts.shard_mode;
+  cfg.steer_symmetric = opts.steer_symmetric;
+  return cfg;
 }
 
 /// Drain the trace once through the engine and collect stats + oracle.

@@ -322,7 +322,7 @@ TEST(BatchPhase2, PersistentMemoInvalidatesOnInPlaceUpdate) {
   std::vector<net::FiveTuple> in;
   for (u16 k = 0; k < 64; ++k) {
     net::FiveTuple t;
-    t.src_ip = (u32{10} << 24) | (u32{k % 8} << 16) | k;
+    t.src_ip = (u32{10} << 24) | ((u32{k} % 8) << 16) | k;
     t.dst_ip = 0xC0A80001;
     t.src_port = 1000;
     t.dst_port = 80;

@@ -453,6 +453,7 @@ int main(int argc, char** argv) {
     usize hits = 0;
     u64 memo_hits = 0;
     u64 probes = 0;
+    u64 filter_checks = 0;
     std::vector<net::FiveTuple> headers;
     headers.reserve(trace.size());
     for (const auto& e : trace) headers.push_back(e.header);
@@ -474,6 +475,7 @@ int main(int argc, char** argv) {
       if (res.match) ++hits;
       memo_hits += res.memo_hits;
       probes += res.crossproduct_probes;
+      filter_checks += res.filter_checks;
     }
 
     const core::ThroughputModel rate{cfg.fmax_mhz};
@@ -517,11 +519,14 @@ int main(int argc, char** argv) {
     t.add_row({"hits", std::to_string(hits) + "/" +
                            std::to_string(trace.size())});
     t.add_row({"mean cycles/lookup", TextTable::num(agg.mean_cycles())});
-    t.add_row({"mean probes/lookup",
-               TextTable::num(results.empty()
-                                  ? 0.0
-                                  : static_cast<double>(probes) /
-                                        static_cast<double>(results.size()))});
+    auto per_lookup = [&](u64 total) {
+      return TextTable::num(results.empty()
+                                ? 0.0
+                                : static_cast<double>(total) /
+                                      static_cast<double>(results.size()));
+    };
+    t.add_row({"mean probes/lookup", per_lookup(probes)});
+    t.add_row({"mean filter checks/lookup", per_lookup(filter_checks)});
     t.add_row({"mean accesses/lookup", TextTable::num(agg.mean_accesses())});
     t.add_row({"worst cycles", std::to_string(agg.max_cycles())});
     t.add_row({"pipelined rate", TextTable::num(
