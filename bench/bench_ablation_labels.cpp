@@ -48,8 +48,10 @@ int main() {
   t.print(std::cout);
   std::cout << "\nreading: the >50% unique-field saving of Table II holds "
                "on every workload; on top of it, content addressing "
-               "shrinks the leaf-pushed list storage by the dedup factor "
-               "(leaf pushing would otherwise replicate ancestor lists "
-               "across sibling entries).\n";
+               "shrinks the list storage by the dedup factor (prefix "
+               "expansion puts one list on several sibling entries). Trie "
+               "entries without a prefix of their own store a null "
+               "pointer and inherit their ancestor's list, so they hold "
+               "no reference.\n";
   return 0;
 }

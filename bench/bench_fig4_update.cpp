@@ -5,10 +5,15 @@
 /// plus "an additional clock cycle ... using hash function" — i.e. 3 bus
 /// cycles for a rule whose field values are already labelled. New labels
 /// additionally pay for the structure words they touch; the BST pays its
-/// software-rebuild re-upload (its documented weakness, §III.C).
+/// software-rebuild re-upload (its documented weakness, §III.C), the RVH
+/// one bucket entry per new prefix. A final table replays an add/delete
+/// update storm over an FW set per backend: the backend update trade as
+/// deterministic device cycles.
 #include <algorithm>
 
 #include "bench_util.hpp"
+#include "sdn/southbound.hpp"
+#include "workload/trace_synth.hpp"
 
 using namespace pclass;
 using namespace pclass::bench;
@@ -27,6 +32,9 @@ struct Dist {
   }
 };
 
+constexpr core::IpAlgorithm kAlgs[] = {
+    core::IpAlgorithm::kMbt, core::IpAlgorithm::kBst, core::IpAlgorithm::kRvh};
+
 }  // namespace
 
 int main() {
@@ -38,8 +46,7 @@ int main() {
   for (const auto type :
        {ruleset::FilterType::kAcl, ruleset::FilterType::kFw}) {
     const Workload w = make_workload(type, 1000, 1);
-    for (const auto alg :
-         {core::IpAlgorithm::kMbt, core::IpAlgorithm::kBst}) {
+    for (const auto alg : kAlgs) {
       auto clf = make_classifier(w.rules, alg,
                                  core::CombineMode::kFirstLabel);
       bulk.add_row({w.rules.name(), to_string(alg),
@@ -58,7 +65,7 @@ int main() {
   const ruleset::RuleSet fresh_src =
       ruleset::make_classbench_like(ruleset::FilterType::kAcl, 1000, 777);
   const usize warm = w.rules.size() * 9 / 10;
-  for (const auto alg : {core::IpAlgorithm::kMbt, core::IpAlgorithm::kBst}) {
+  for (const auto alg : kAlgs) {
     core::ClassifierConfig cfg =
         core::ClassifierConfig::for_scale(2 * w.rules.size());
     cfg.ip_algorithm = alg;
@@ -141,6 +148,51 @@ int main() {
     row("delete", del);
     t.print(std::cout);
   }
+
+  // Update storm: add/delete pairs of fresh rules streamed into a warm
+  // FW device — the rule set and seed-1 update schedule of perfbench's
+  // fw-thrash workload, whose device_update_us is this table's MBT
+  // storm mean over the bus clock.
+  const ruleset::RuleSet fw =
+      workload::synthesize(workload::RulesetProfile::fw(1500));
+  const std::vector<sdn::Message> storm =
+      workload::make_update_storm(fw, 2000, /*first_id=*/60'000,
+                                  /*seed=*/1 ^ 0x5707)
+          .schedule;
+  std::cout << "\nupdate storm — " << storm.size()
+            << " add/delete updates into " << fw.name() << " ("
+            << fw.size() << " rules):\n";
+  TextTable st({"config", "bulk cycles/rule", "storm cycles/update",
+                "add mean", "delete mean"});
+  for (const auto alg : kAlgs) {
+    core::ClassifierConfig cfg =
+        core::ClassifierConfig::for_scale(fw.size() + 512);
+    cfg.ip_algorithm = alg;
+    core::ConfigurableClassifier clf(cfg);
+    const u64 bulk_cycles = clf.add_rules(fw).cycles;
+    u64 add_cycles = 0, del_cycles = 0;
+    usize adds = 0, dels = 0;
+    for (const sdn::Message& msg : storm) {
+      const hw::UpdateStats cost = sdn::apply_message(clf, msg);
+      const auto* mod = std::get_if<sdn::FlowMod>(&msg);
+      if (mod != nullptr && mod->command == sdn::FlowMod::Command::kAdd) {
+        add_cycles += cost.cycles;
+        ++adds;
+      } else {
+        del_cycles += cost.cycles;
+        ++dels;
+      }
+    }
+    auto mean = [](u64 total, usize n) {
+      return TextTable::num(
+          n == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(n),
+          1);
+    };
+    st.add_row({to_string(alg), mean(bulk_cycles, fw.size()),
+                mean(add_cycles + del_cycles, adds + dels),
+                mean(add_cycles, adds), mean(del_cycles, dels)});
+  }
+  st.print(std::cout);
 
   const core::ThroughputModel rate;
   std::cout << "\nlabel-hit update rate at 133.51 MHz: "

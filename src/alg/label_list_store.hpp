@@ -6,9 +6,10 @@
 /// list of matching labels").
 ///
 /// Storage is content-addressed with reference counting: identical lists
-/// (extremely common, because multi-bit-trie leaf pushing replicates
-/// ancestor lists across sibling entries) are stored once. This is the
-/// label method's memory saving made concrete.
+/// (common, because controlled prefix expansion places one prefix's list
+/// on several sibling entries, and backends resolve the same covering
+/// set at different places) are stored once. This is the label method's
+/// memory saving made concrete.
 #pragma once
 
 #include <map>

@@ -84,6 +84,9 @@ MultiBitTrie::MultiBitTrie(const std::string& name, MbtConfig cfg,
 
   pool_.resize(cfg_.strides.size());
   free_ids_.resize(cfg_.strides.size());
+  for (usize k = 0; k < cfg_.strides.size(); ++k) {
+    dirty_.emplace_back(cfg_.level_capacity[k], false);
+  }
   // Root node: always live, entries all empty.
   SwNode root;
   root.entries.resize(usize{1} << cfg_.strides[0]);
@@ -139,14 +142,20 @@ i64 MultiBitTrie::alloc_node(usize level, i64 parent, u32 parent_entry,
   n.parent_entry = parent_entry;
   n.live = true;
 
-  // Leaf-push: new entries inherit the parent entry's list.
+  // New entries cover nothing of their own: each caches the parent
+  // entry's list but stores the null pointer and inherits it through the
+  // lookup's deepest-pointer fallback. Their words are all zero, which a
+  // clean slot already holds; only a dirty slot needs them written.
   const std::vector<Label>& inherited =
       pool_[level - 1][static_cast<usize>(parent)].entries[parent_entry].list;
-  for (u32 e = 0; e < n.entries.size(); ++e) {
-    SwEntry& entry = n.entries[e];
+  for (SwEntry& entry : n.entries) {
     entry.list = inherited;
-    entry.ref = inherited.empty() ? ListRef{} : lists_.acquire(inherited, log);
-    write_entry(level, id, e, log);
+  }
+  if (dirty_[level][static_cast<usize>(id)]) {
+    for (u32 e = 0; e < n.entries.size(); ++e) {
+      write_entry(level, id, e, log);
+    }
+    dirty_[level][static_cast<usize>(id)] = false;
   }
   return id;
 }
@@ -154,6 +163,11 @@ i64 MultiBitTrie::alloc_node(usize level, i64 parent, u32 parent_entry,
 void MultiBitTrie::free_node(usize level, i64 id) {
   SwNode& n = pool_[level][static_cast<usize>(id)];
   for (SwEntry& e : n.entries) {
+    if (e.child >= 0 || !e.ref.empty()) {
+      // The slot's device words stay as they are: the next alloc_node
+      // of this slot must overwrite them.
+      dirty_[level][static_cast<usize>(id)] = true;
+    }
     lists_.release(e.ref);
   }
   n = SwNode{};
@@ -230,12 +244,18 @@ void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
     return;  // nothing below can have changed either (same inherited base)
   }
   if (changed) {
-    const ListRef new_ref =
-        fresh.empty() ? ListRef{} : lists_.acquire(fresh, log);
+    // Only an entry with its own anchored coverage stores a pointer;
+    // the others inherit the same list through the lookup fallback.
+    const ListRef new_ref = fresh.size() > inherited.size()
+                                ? lists_.acquire(fresh, log)
+                                : ListRef{};
     lists_.release(e.ref);
+    const bool moved = new_ref != e.ref;
     e.ref = new_ref;
     e.list = std::move(fresh);
-    write_entry(level, node, entry, log);
+    if (moved) {
+      write_entry(level, node, entry, log);
+    }
   }
   if (e.child >= 0) {
     const i64 child = e.child;
@@ -321,7 +341,8 @@ void MultiBitTrie::prune_upwards(usize level, i64 node,
 }
 
 void MultiBitTrie::clear(hw::CommandLog& log) {
-  // Free everything below the root, then reset the root entries.
+  // Free everything below the root (free_node marks the slots dirty: their
+  // words are not wiped), then reset the root entries.
   for (usize k = 1; k < pool_.size(); ++k) {
     for (usize id = 0; id < pool_[k].size(); ++id) {
       if (pool_[k][id].live) {

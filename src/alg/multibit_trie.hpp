@@ -7,12 +7,24 @@
 /// entry holds an optional child-node pointer and a pointer into the
 /// label-list store. Prefixes are expanded onto the entries they cover
 /// (controlled prefix expansion) and label lists are *leaf-pushed*: the
-/// list at any entry contains the labels of ALL prefixes covering that
-/// path, in priority order, so a lookup needs only the deepest existing
-/// entry ("the result from each algorithm is a pointer to a list of
-/// matching labels"). This replication is exactly why the paper pairs
-/// MBT with the label method — lists hold 13-bit labels, not rules, and
-/// the content-addressed store dedups identical lists.
+/// list an entry resolves to contains the labels of ALL prefixes
+/// covering that path, in priority order, so a lookup needs only the
+/// deepest non-null pointer on its path ("the result from each algorithm
+/// is a pointer to a list of matching labels"). This replication is
+/// exactly why the paper pairs MBT with the label method — lists hold
+/// 13-bit labels, not rules, and the content-addressed store dedups
+/// identical lists.
+///
+/// Null = inherit: only an entry covered by a prefix anchored in its own
+/// node stores a list pointer; every other entry stores the null pointer
+/// and resolves to its nearest ancestor's list through that
+/// deepest-pointer fallback. A new node therefore needs no entry writes
+/// (its words are all zero), and a short-prefix add or a priority
+/// refresh rewrites only the entries with their own coverage, never the
+/// inheriting subtrees below them. The controller tracks, per level and
+/// node slot, whether a free slot's device words may be non-zero (a
+/// clear() leaves them in place); only such a dirty slot is rewritten
+/// when it is allocated again.
 ///
 /// Division of labour (§IV.A): all structural computation happens here in
 /// controller software; the device only receives word writes through the
@@ -118,8 +130,8 @@ class MultiBitTrie {
  private:
   struct SwEntry {
     i64 child = -1;           ///< node id at level+1, -1 = none
-    std::vector<Label> list;  ///< cached list content
-    ListRef ref;              ///< device pointer of the list
+    std::vector<Label> list;  ///< resolved list content (own + inherited)
+    ListRef ref;              ///< stored device pointer; null = inherit
   };
 
   struct SwNode {
@@ -149,8 +161,9 @@ class MultiBitTrie {
   void free_node(usize level, i64 id);
   void write_entry(usize level, i64 node, u32 entry, hw::CommandLog& log);
   /// Recompute the list of one entry (and its subtree) from the inherited
-  /// base list; writes device words for every change. When \p force is
-  /// false the recursion prunes at unchanged entries — valid for
+  /// base list; writes the entry's word only when its stored pointer
+  /// changes (null unless the entry has its own anchored coverage). When
+  /// \p force is false the recursion prunes at unchanged entries — valid for
   /// inserts/removes (a change always propagates through the entry's own
   /// list) but NOT for priority refreshes, where a descendant list can
   /// reorder while this entry's list is unchanged.
@@ -177,6 +190,8 @@ class MultiBitTrie {
 
   std::vector<std::vector<SwNode>> pool_;       ///< per-level node pools
   std::vector<std::vector<u32>> free_ids_;      ///< per-level free lists
+  /// Per-level, per-slot: a free slot whose device words may be non-zero.
+  std::vector<std::vector<bool>> dirty_;
   std::map<ruleset::SegmentPrefix, std::pair<usize, i64>> prefix_anchor_;
 };
 

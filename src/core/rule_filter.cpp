@@ -68,8 +68,9 @@ void ProbeTable::encode(u32 addr, const Slot& s, hw::CommandLog& log) {
   p.push(s.value & mask_low(value_bits_), value_bits_);
   const hw::Word full = p.word();
   // Pin-limited upload (§V.A): a word wider than one beat arrives in
-  // two; the first stages it with the valid bit clear.
-  if (mem_.word_bits() > kBusBeatBits) {
+  // two; the first stages it with the valid bit clear. A tombstone's
+  // valid bit is already clear, so its full word is the one beat.
+  if (mem_.word_bits() > kBusBeatBits && s.valid) {
     hw::Word staged = full;
     staged.lo &= ~u64{1};
     log.memory_write(mem_, addr, staged);

@@ -170,10 +170,14 @@ void StatsSampler::tick() {
             : static_cast<double>(vis_ns) /
                   static_cast<double>(s.update_visibility_samples);
 
-    // Idle ticks produce no row: the series records activity, and an
-    // all-zero delta adds nothing to the sum invariant either way.
-    active = s.packets != 0 || s.batches != 0 ||
-             s.classifier_lookups != 0 || delta_count != 0 ||
+    // Idle ticks produce no row: an all-zero delta adds nothing to the
+    // sum invariant. Any non-zero delta keeps the row, since prev_
+    // advances either way: a worker stores packets before
+    // memory_accesses, so a tick between the two stores leaves the
+    // next row with only a memory_accesses delta.
+    active = s.packets != 0 || s.batches != 0 || s.cache_hits != 0 ||
+             s.classifier_lookups != 0 || s.probe_memo_hits != 0 ||
+             s.memory_accesses != 0 || delta_count != 0 ||
              s.update_visibility_samples != 0;
     if (active) {
       samples_.push_back(s);

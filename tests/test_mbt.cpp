@@ -7,8 +7,12 @@
 #include <map>
 
 #include "alg/multibit_trie.hpp"
+#include "baseline/linear_search.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "core/classifier.hpp"
+#include "ruleset/generator.hpp"
+#include "ruleset/trace_gen.hpp"
 
 using namespace pclass;
 using namespace pclass::alg;
@@ -40,6 +44,15 @@ struct Rig {
   }
   void remove(u16 value, u8 len) {
     trie->remove(SegmentPrefix::make(value, len), log);
+  }
+
+  /// Device writes into the trie's level memories so far.
+  u64 node_writes() const {
+    u64 n = 0;
+    for (usize k = 0; k < trie->levels(); ++k) {
+      n += trie->level_memory(k).stats().writes;
+    }
+    return n;
   }
 
   std::vector<u16> lookup(u16 key) {
@@ -222,6 +235,82 @@ TEST(Mbt, MemoryAccounting) {
   EXPECT_LE(rig.trie->live_node_bits(), rig.trie->capacity_bits());
 }
 
+TEST(Mbt, NewNodesAreNotWritten) {
+  // A /16 under an empty root needs a level-1 and a level-2 node. Their
+  // entries inherit (null pointer), so the add writes the two
+  // child-pointer entries and the anchor entry — not both nodes in full.
+  Rig rig;
+  rig.insert(0xABCD, 16, 1, 0);
+  EXPECT_EQ(rig.trie->node_count(1), 1u);
+  EXPECT_EQ(rig.trie->node_count(2), 1u);
+  EXPECT_EQ(rig.trie->level_memory(0).stats().writes, 1u);
+  EXPECT_EQ(rig.trie->level_memory(1).stats().writes, 1u);
+  EXPECT_EQ(rig.trie->level_memory(2).stats().writes, 1u);
+  EXPECT_EQ(rig.lookup(0xABCD), std::vector<u16>{1});
+  EXPECT_TRUE(rig.lookup(0xABCC).empty());
+
+  // A short prefix above it rewrites only its own anchor entry: the
+  // entries below inherit the new list without a write, and the /16
+  // entry (own coverage) moves to the longer list.
+  const u64 before = rig.node_writes();
+  rig.insert(0xA800, 5, 2, 1);
+  EXPECT_EQ(rig.node_writes() - before, 2u);
+  EXPECT_EQ(rig.lookup(0xABCD), (std::vector<u16>{1, 2}));
+  EXPECT_EQ(rig.lookup(0xABCC), std::vector<u16>{2});
+  EXPECT_EQ(rig.lookup(0xAF00), std::vector<u16>{2});
+}
+
+TEST(Mbt, PrunedNodeWordsReadZero) {
+  Rig rig;
+  rig.insert(0xAB00, 8, 1, 1);   // level-1 node under root entry 21
+  rig.insert(0xABCD, 16, 2, 2);  // level-2 node 0 under it
+  rig.remove(0xABCD, 16);
+  ASSERT_EQ(rig.trie->node_count(2), 0u);
+  const hw::Memory& l2 = rig.trie->level_memory(2);
+  for (u32 a = 0; a < 64; ++a) {
+    EXPECT_EQ(l2.read(a, nullptr), hw::Word{}) << "level-2 word " << a;
+  }
+  rig.remove(0xAB00, 8);
+  ASSERT_EQ(rig.trie->node_count(1), 0u);
+  const hw::Memory& l1 = rig.trie->level_memory(1);
+  for (u32 a = 0; a < 32; ++a) {
+    EXPECT_EQ(l1.read(a, nullptr), hw::Word{}) << "level-1 word " << a;
+  }
+  // The clean slots are reused without rewriting them.
+  const u64 before = rig.node_writes();
+  rig.insert(0xABCD, 16, 3, 0);
+  EXPECT_EQ(rig.node_writes() - before, 3u);
+  EXPECT_EQ(rig.lookup(0xABCD), std::vector<u16>{3});
+}
+
+TEST(Mbt, ClearedSlotsAreRewrittenOnReuse) {
+  // clear() frees nodes without wiping their words; the next node placed
+  // in such a slot must overwrite every entry.
+  Rig rig;
+  rig.insert(0xAB00, 8, 1, 1);
+  rig.insert(0xABCD, 16, 2, 2);
+  rig.trie->clear(rig.log);
+  u64 w0 = rig.trie->level_memory(0).stats().writes;
+  u64 w1 = rig.trie->level_memory(1).stats().writes;
+  u64 w2 = rig.trie->level_memory(2).stats().writes;
+  rig.insert(0x1234, 16, 3, 0);  // reuses level-1 slot 0, level-2 slot 0
+  EXPECT_EQ(rig.trie->level_memory(0).stats().writes - w0, 1u);
+  EXPECT_EQ(rig.trie->level_memory(1).stats().writes - w1, 32u + 1u);
+  EXPECT_EQ(rig.trie->level_memory(2).stats().writes - w2, 64u + 1u);
+  for (u32 k = 0; k <= 0xFFFF; ++k) {
+    const auto got = rig.lookup(static_cast<u16>(k));
+    ASSERT_EQ(got, k == 0x1234 ? std::vector<u16>{3} : std::vector<u16>{})
+        << "key=" << k;
+  }
+  // Once rewritten and pruned clean, a slot is reused for free again.
+  rig.remove(0x1234, 16);
+  w1 = rig.trie->level_memory(1).stats().writes;
+  w2 = rig.trie->level_memory(2).stats().writes;
+  rig.insert(0x1234, 16, 4, 0);
+  EXPECT_EQ(rig.trie->level_memory(1).stats().writes - w1, 1u);
+  EXPECT_EQ(rig.trie->level_memory(2).stats().writes - w2, 1u);
+}
+
 TEST(Mbt, UpdateCommandsAreLocal) {
   // A host (/16) insert under an existing subtree must touch only the
   // covered entries, not the whole trie.
@@ -284,3 +373,119 @@ TEST_P(MbtProperty, MatchesCoveringOracleWithChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MbtProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---- Exhaustive: every key after insert/remove/refresh churn ----
+
+class MbtChurnExhaustive : public ::testing::TestWithParam<u64> {};
+
+TEST_P(MbtChurnExhaustive, EveryKeyMatchesReference) {
+  Rng rng(GetParam());
+  Rig rig;
+  Oracle oracle;
+  u16 next_label = 0;
+  for (int step = 0; step < 400; ++step) {
+    const double roll = rng.uniform();
+    if (!oracle.entries.empty() && roll < 0.25) {
+      const usize idx = rng.below(oracle.entries.size());
+      rig.trie->remove(oracle.entries[idx].p, rig.log);
+      oracle.entries.erase(oracle.entries.begin() + static_cast<i64>(idx));
+      continue;
+    }
+    if (!oracle.entries.empty() && roll < 0.40) {
+      // A label's best priority moved (a rule sharing it came or went).
+      Oracle::Entry& e = oracle.entries[rng.below(oracle.entries.size())];
+      e.prio = static_cast<Priority>(rng.below(50));
+      rig.prio[e.label] = e.prio;
+      rig.trie->refresh(e.p, rig.log);
+      continue;
+    }
+    // Short prefixes are rarer so most keys stay covered by few lists.
+    const u8 len = static_cast<u8>(rng.chance(0.2) ? rng.below(17)
+                                                   : 6 + rng.below(11));
+    const auto p = SegmentPrefix::make(static_cast<u16>(rng.next()), len);
+    bool dup = false;
+    for (const auto& e : oracle.entries) dup |= e.p == p;
+    if (dup) continue;
+    const u16 label = next_label++;
+    const Priority prio = static_cast<Priority>(rng.below(50));
+    rig.insert(p.value, p.length, label, prio);
+    oracle.entries.push_back({p, label, prio});
+  }
+
+  std::vector<BatchKey> sorted;
+  for (u32 k = 0; k <= 0xFFFF; ++k) {
+    sorted.push_back({k, k});
+    ASSERT_EQ(rig.lookup(static_cast<u16>(k)),
+              oracle.lookup(static_cast<u16>(k)))
+        << "key=" << k;
+  }
+  // The batch walk resolves every key to the scalar walk's pointer.
+  std::vector<ListRef> refs(sorted.size());
+  std::vector<hw::CycleRecorder> recs(sorted.size());
+  rig.trie->lookup_batch_into(sorted, refs, recs);
+  for (u32 k = 0; k <= 0xFFFF; ++k) {
+    hw::CycleRecorder rec;
+    ASSERT_EQ(refs[k], rig.trie->lookup(static_cast<u16>(k), &rec));
+    ASSERT_EQ(recs[k].cycles(), rec.cycles());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MbtChurnExhaustive,
+                         ::testing::Values(11, 12, 13));
+
+// ---- Backend switches leave dirty MBT slots behind ----
+
+TEST(MbtSwitch, ChurnAfterSwitchesMatchesLinearSearch) {
+  const ruleset::RuleSet rs =
+      ruleset::make_classbench_like(ruleset::FilterType::kFw, 1000, 5);
+  core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(rs.size());
+  cfg.combine_mode = core::CombineMode::kCrossProduct;
+  ASSERT_TRUE(cfg.share_ip_memory);  // level 1 is the Fig. 5 shared block
+  core::ConfigurableClassifier clf(cfg);
+  const auto trace =
+      ruleset::TraceGenerator(rs, {.headers = 600, .seed = 9}).generate();
+
+  std::map<u32, ruleset::Rule> live;
+  usize next = 0;
+  Rng rng(21);
+  auto add_some = [&](usize n) {
+    for (usize i = 0; i < n && next < rs.size(); ++i, ++next) {
+      clf.add_rule(rs[next]);
+      live.emplace(rs[next].id.value, rs[next]);
+    }
+  };
+  auto remove_some = [&](usize n) {
+    for (usize i = 0; i < n && !live.empty(); ++i) {
+      auto it = live.begin();
+      std::advance(it, static_cast<i64>(rng.below(live.size())));
+      clf.remove_rule(it->second.id);
+      live.erase(it);
+    }
+  };
+  auto verify = [&](const char* stage) {
+    ruleset::RuleSet set("live");
+    for (const auto& [id, r] : live) set.add_verbatim(r);
+    baseline::LinearSearch oracle(set);
+    for (const auto& e : trace) {
+      const auto got = clf.classify(e.header);
+      const auto* want = oracle.classify(e.header, nullptr);
+      ASSERT_EQ(got.match.has_value(), want != nullptr) << stage;
+      if (want != nullptr) {
+        ASSERT_EQ(got.match->rule, want->id) << stage;
+      }
+    }
+  };
+
+  add_some(400);
+  verify("installed");
+  for (const auto other : {core::IpAlgorithm::kBst, core::IpAlgorithm::kRvh}) {
+    clf.set_ip_algorithm(other);
+    remove_some(60);
+    add_some(60);
+    clf.set_ip_algorithm(core::IpAlgorithm::kMbt);
+    verify("switched back");
+    remove_some(120);
+    add_some(80);
+    verify("churn after switch");
+  }
+}

@@ -35,6 +35,21 @@ TEST(RuleFilter, TwoBeatUpload) {
   EXPECT_EQ(log.size(), 2u);
 }
 
+TEST(RuleFilter, TombstoneIsOneBeat) {
+  // The staging beat keeps a half-written entry invalid; a tombstone's
+  // valid bit is already clear, so a remove is one memory write.
+  RuleFilter f("f", 64, 8, 1);
+  hw::CommandLog insert_log;
+  f.insert(key_of(1), {RuleId{1}, 0, 0}, insert_log);
+  EXPECT_EQ(insert_log.size(), 2u);
+  hw::CommandLog remove_log;
+  f.remove(key_of(1), remove_log);
+  ASSERT_EQ(remove_log.size(), 1u);
+  EXPECT_EQ(remove_log.commands()[0].target, hw::UpdateTarget::kMemoryWord);
+  EXPECT_EQ(f.memory().stats().writes, 3u);
+  EXPECT_FALSE(f.lookup(key_of(1), nullptr).has_value());
+}
+
 TEST(RuleFilter, DuplicateKeyThrows) {
   RuleFilter f("f", 64, 8, 1);
   hw::CommandLog log;

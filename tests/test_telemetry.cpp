@@ -457,6 +457,48 @@ TEST(StatsSampler, StopIsIdempotentAndSafeBeforeStart) {
   }
 }
 
+TEST(StatsSampler, RowWithOnlyAccessDeltasIsKept) {
+  // A worker stores packets before memory_accesses, so a tick can land
+  // between the two stores; the next row then carries no packet delta
+  // at all. It must still be kept, or its deltas are lost from the sum.
+  WorkerTelemetry tel(0);
+  StatsSampler sampler({&tel}, 1, 0);
+  sampler.start();
+  auto wait_for_row = [&](auto pred) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (const StatsSample& s : sampler.samples_snapshot()) {
+        if (pred(s)) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  tel.live.packets.fetch_add(10, std::memory_order_relaxed);
+  ASSERT_TRUE(
+      wait_for_row([](const StatsSample& s) { return s.packets != 0; }));
+  tel.live.memory_accesses.fetch_add(25, std::memory_order_relaxed);
+  tel.live.cache_hits.fetch_add(3, std::memory_order_relaxed);
+  tel.live.probe_memo_hits.fetch_add(4, std::memory_order_relaxed);
+  // A periodic tick (not the final flush) picks the deltas up.
+  EXPECT_TRUE(wait_for_row([](const StatsSample& s) {
+    return s.packets == 0 && s.memory_accesses == 25;
+  }));
+  sampler.stop();
+  u64 packets = 0, mem = 0, hits = 0, memo = 0;
+  for (const StatsSample& s : sampler.take_samples()) {
+    packets += s.packets;
+    mem += s.memory_accesses;
+    hits += s.cache_hits;
+    memo += s.probe_memo_hits;
+  }
+  EXPECT_EQ(packets, 10u);
+  EXPECT_EQ(mem, 25u);
+  EXPECT_EQ(hits, 3u);
+  EXPECT_EQ(memo, 4u);
+}
+
 TEST(StatsSampler, SubscribersSeeEveryActiveRowIncludingFinalFlush) {
   dataplane::RuleProgramPublisher programs(small_config());
   for (u32 i = 0; i < 64; ++i) programs.apply(add_msg(i));
