@@ -138,13 +138,13 @@ int main(int argc, char** argv) {
   std::cout << "speedup at 4 workers: " << TextTable::num(speedup_at_4, 2)
             << "x (target >= 2x; requires >= 4 free cores)\n";
 
-  header("Batch mode A/B — phase-2 engine vs scalar loop",
+  header("Batch path A/B — phase-2 engine vs scalar loop",
          "Same ruleset and traffic, 4 workers; the phase-2 engine "
          "sorts per-dimension keys per batch and memoizes repeated "
          "combinations.");
   {
     core::ClassifierConfig scalar_cfg = cfg;
-    scalar_cfg.batch_mode = core::BatchMode::kScalar;
+    scalar_cfg.batch_path_policy = core::PathPolicy::kForceScalarLoop;
     dataplane::RuleProgramPublisher scalar_programs(scalar_cfg);
     scalar_programs.install_ruleset(w.rules);
     const ScalePoint p2 =

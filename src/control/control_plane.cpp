@@ -562,7 +562,6 @@ std::string ControlPlane::stats_json() {
   w.key("engine").begin_object();
   w.key("workers").value(ecfg.workers);
   w.key("shards").value(ecfg.shards);
-  w.key("shard_mode").value(std::string(to_string(ecfg.shard_mode)));
   w.key("steer_symmetric").value(ecfg.steer_symmetric);
   w.end_object();
 

@@ -159,7 +159,7 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
 sdn::Message parse_set_command(std::span<const std::string> args) {
   if (args.size() != 2) {
     throw ParseError(
-        "set: expected <path-policy|memo-ways|batch-mode|ip-alg> <value>");
+        "set: expected <path-policy|ip-alg> <value>");
   }
   const std::string& knob = args[0];
   const std::string& value = args[1];
@@ -173,20 +173,6 @@ sdn::Message parse_set_command(std::span<const std::string> args) {
       cm.path_policy = core::PathPolicy::kForceScalarLoop;
     } else {
       throw ParseError("set path-policy: expected adaptive|phase2|scalar-loop");
-    }
-    return cm;
-  }
-  if (knob == "memo-ways") {
-    cm.memo_ways = static_cast<u32>(parse_uint(value, 64, "memo-ways"));
-    return cm;
-  }
-  if (knob == "batch-mode") {
-    if (value == "scalar") {
-      cm.batch_mode = core::BatchMode::kScalar;
-    } else if (value == "phase2") {
-      cm.batch_mode = core::BatchMode::kPhase2;
-    } else {
-      throw ParseError("set batch-mode: expected scalar|phase2");
     }
     return cm;
   }

@@ -95,9 +95,7 @@ struct HandlerResult {
 
 /// Args after the `set` handler name:
 ///   path-policy adaptive|phase2|scalar-loop
-///   memo-ways <n>
-///   batch-mode scalar|phase2
-///   ip-alg mbt|bst
+///   ip-alg mbt|bst|rvh
 /// -> a single-knob ConfigMod. \throws ParseError.
 [[nodiscard]] sdn::Message parse_set_command(std::span<const std::string> args);
 

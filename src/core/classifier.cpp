@@ -51,15 +51,7 @@ u64 next_device_id() {
 }  // namespace
 
 ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
-    : cfg_([&] {
-        // Reject a bad memo geometry at construction, not from the
-        // first memo-eligible batch deep in a dataplane worker.
-        if (!ProbeMemo::valid_ways(cfg.batch_memo_ways)) {
-          throw ConfigError(
-              "ClassifierConfig: batch_memo_ways must be 1 or 2");
-        }
-        return cfg;
-      }()),
+    : cfg_(cfg),
       device_id_(next_device_id()),
       ip_tables_{alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpHi),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpLo),
@@ -125,13 +117,6 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
 }
 
 ConfigurableClassifier::~ConfigurableClassifier() = default;
-
-void ConfigurableClassifier::set_batch_memo_ways(u32 ways) {
-  if (!ProbeMemo::valid_ways(ways)) {
-    throw ConfigError("set_batch_memo_ways: ways must be 1 or 2");
-  }
-  cfg_.batch_memo_ways = ways;
-}
 
 ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
     const ruleset::Rule& r, usize ip_dim_index) {
@@ -713,11 +698,14 @@ void ConfigurableClassifier::classify_batch(
   if (out.size() < in.size()) {
     throw ConfigError("classify_batch: output span smaller than input");
   }
-  if (cfg_.batch_mode == BatchMode::kScalar || in.size() <= 1) {
+  if (in.size() <= 1) {
     // Single-packet batches have nothing to share; the scalar path is
     // the phase-2 engine's exact cost model without its scaffolding.
-    for (usize i = 0; i < in.size(); ++i) {
-      out[i] = classify(in[i]);
+    // A one-header batch still counts as a scalar-loop batch (untimed,
+    // so it stays out of the cost fit); an empty call counts on no path.
+    if (!in.empty()) {
+      out[0] = classify(in[0]);
+      scratch.controller.observe(BatchPath::kScalarLoop, -1.0, 1, 1);
     }
     scratch.last_batch_path = BatchPath::kScalarLoop;
     scratch.last_batch_distinct = 0;
@@ -956,30 +944,22 @@ void ConfigurableClassifier::classify_batch_phase2(
     }
   }
 
-  // The combination-probe memo. Persistent (the default): bind to this
-  // device's (id, epoch) — carried over unchanged, cached combinations
-  // from earlier batches of the same program keep serving; any device
-  // change (snapshot swap rotates the worker onto a different replica,
-  // or an in-place update bumped the epoch) drops every entry before a
-  // stale verdict could serve. Per-batch mode (the PR-3 A/B reference)
-  // invalidates unconditionally.
+  // The combination-probe memo, bound to this device's (id, epoch):
+  // carried over unchanged, cached combinations from earlier batches of
+  // the same program keep serving; any device change (snapshot swap
+  // rotates the worker onto a different replica, or an in-place update
+  // bumped the epoch) drops every entry before a stale verdict could
+  // serve.
   ProbeMemo* memo = nullptr;
   if (use_memo) {
-    // Rebuild on any geometry mismatch — including shrinks: a config
-    // asking for a 16-slot memo must actually get one (the fuzz
-    // harness's set-pressure dimension depends on it), not silently
-    // keep the scratch's larger default.
-    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots) ||
-        s.memo.ways() != cfg_.batch_memo_ways) {
-      s.memo = ProbeMemo(cfg_.batch_memo_slots, cfg_.batch_memo_ways);
+    // Rebuild on any size mismatch — including shrinks: a config asking
+    // for a 16-slot memo must actually get one (the fuzz harness's
+    // set-pressure dimension depends on it), not silently keep the
+    // scratch's larger default.
+    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots)) {
+      s.memo = ProbeMemo(cfg_.batch_memo_slots);
     }
-    bool invalidated = true;
-    if (cfg_.batch_memo_persistent) {
-      invalidated = s.memo.bind(device_id_, device_epoch_);
-    } else {
-      s.memo.invalidate();
-    }
-    if (invalidated) ++s.memo_invalidations;
+    if (s.memo.bind(device_id_, device_epoch_)) ++s.memo_invalidations;
     memo = &s.memo;
   }
 

@@ -48,28 +48,10 @@ enum class CombineMode : u8 {
   return m == CombineMode::kFirstLabel ? "first-label" : "cross-product";
 }
 
-/// How classify_batch() drives phase 2 (a software decision; free).
-enum class BatchMode : u8 {
-  /// Packet-at-a-time: classify() per header (the pre-batching path,
-  /// kept as the A/B reference).
-  kScalar,
-  /// True batch engine: per-dimension keys are gathered and sorted for
-  /// the whole batch, each engine walks once per distinct-key run
-  /// (shared trie nodes touched once per batch), and the cross-product
-  /// combiner memoizes repeated label combinations per batch. Modeled
-  /// per-packet costs are preserved exactly (memory accesses always;
-  /// cycles too unless the probe memo is on, which can only lower them).
-  kPhase2,
-};
-
-[[nodiscard]] constexpr const char* to_string(BatchMode m) {
-  return m == BatchMode::kScalar ? "scalar" : "phase2";
-}
-
-/// How classify_batch() picks its per-batch execution path under
-/// BatchMode::kPhase2. All paths produce identical verdicts and
-/// per-packet memory accesses (cycles may only drop when the probe memo
-/// engages), so the policy is purely a host-performance decision.
+/// How classify_batch() picks its per-batch execution path. All paths
+/// produce identical verdicts and per-packet memory accesses (cycles may
+/// only drop when the probe memo engages), so the policy is purely a
+/// host-performance decision.
 enum class PathPolicy : u8 {
   /// The per-scratch EWMA controller (core/path_controller.hpp) picks
   /// scalar-loop vs batch engine and memo-on vs memo-off online, from
@@ -78,8 +60,8 @@ enum class PathPolicy : u8 {
   /// Always the batch engine; the probe memo follows batch_probe_memo.
   /// The deterministic choice tests and ablations force.
   kForcePhase2,
-  /// Always the packet-at-a-time loop (the phase-2 cost model without
-  /// its scaffolding).
+  /// Always the packet-at-a-time loop: classify() per header, the
+  /// pre-batching path and the scalar A/B reference.
   kForceScalarLoop,
 };
 
@@ -96,25 +78,12 @@ enum class PathPolicy : u8 {
 struct ClassifierConfig {
   IpAlgorithm ip_algorithm = IpAlgorithm::kMbt;
   CombineMode combine_mode = CombineMode::kFirstLabel;
-  /// classify_batch() strategy (classify() is always scalar).
-  BatchMode batch_mode = BatchMode::kPhase2;
   /// Combination-probe memo in the combiner (phase-2 only): when true
   /// the memo is *eligible*; under PathPolicy::kAdaptive the controller
   /// still decides per batch whether engaging it pays.
   bool batch_probe_memo = true;
   /// Slots of that memo (rounded up to a power of two).
   u32 batch_memo_slots = 512;
-  /// Memo associativity: 2 (default) = two tagged ways per set with
-  /// per-set LRU, so hot cross-batch combinations colliding on a set
-  /// coexist; 1 = the direct-mapped layout, kept as the --memo-ways 1
-  /// A/B reference. Same total slot count either way.
-  u32 batch_memo_ways = 2;  // == ProbeMemo::kDefaultWays
-  /// Persistent memo lifetime (the default): entries survive batch
-  /// boundaries and are invalidated only when the device they were
-  /// cached against changes (snapshot swap / in-place update). false
-  /// restores the per-batch generation reset — kept as the A/B
-  /// reference for bench_batch_ablation.
-  bool batch_memo_persistent = true;
   /// Per-batch execution-path policy for the phase-2 engine.
   PathPolicy batch_path_policy = PathPolicy::kAdaptive;
 

@@ -10,16 +10,11 @@ u32 ProbeMemo::normalized_slots(u32 slots) {
   return std::bit_ceil(std::max<u32>(slots, 16));
 }
 
-ProbeMemo::ProbeMemo(u32 slots, u32 ways) {
-  if (!valid_ways(ways)) {
-    throw ConfigError("ProbeMemo: ways must be 1 (direct-mapped) or 2 "
-                      "(set-associative)");
-  }
+ProbeMemo::ProbeMemo(u32 slots) {
   const u32 n = normalized_slots(slots);
   entries_.resize(n);
-  ways_ = ways;
-  lru_.assign(n / ways, 0);
-  set_mask_ = n / ways - 1;
+  lru_.assign(n / kWays, 0);
+  set_mask_ = n / kWays - 1;
 }
 
 ProbeTable::ProbeTable(const std::string& name, u32 depth, u32 max_probes,
@@ -301,13 +296,13 @@ std::optional<RuleEntry> RuleFilter::lookup_memo(const Key68& key,
                                                  ProbeMemo& memo,
                                                  u64& memo_hits) const {
   // Cheap multiply-shift set hash: the memo sits on every probe of the
-  // batch path, so the miss cost must stay at `ways` compares + one
+  // batch path, so the miss cost must stay at kWays compares + one
   // store.
   const u64 x = (key.lo64() ^ (u64{key.hi4()} << 60)) *
                 0x9E3779B97F4A7C15ULL;
   const u32 set = static_cast<u32>(x >> 40) & memo.set_mask_;
-  ProbeMemo::Entry* const base = &memo.entries_[set * memo.ways_];
-  for (u32 w = 0; w < memo.ways_; ++w) {
+  ProbeMemo::Entry* const base = &memo.entries_[set * ProbeMemo::kWays];
+  for (u32 w = 0; w < ProbeMemo::kWays; ++w) {
     ProbeMemo::Entry& e = base[w];
     if (e.gen == memo.gen_ && e.key == key) {
       // Combination-cache hit: one cycle (the ways tag-compare in
@@ -317,9 +312,7 @@ std::optional<RuleEntry> RuleFilter::lookup_memo(const Key68& key,
         rec->charge(1, e.probe_accesses);
       }
       ++memo_hits;
-      if (memo.ways_ == 2) {
-        memo.lru_[set] = static_cast<u8>(w ^ 1);  // the other way is LRU
-      }
+      memo.lru_[set] = static_cast<u8>(w ^ 1);  // the other way is LRU
       return e.matched ? std::optional<RuleEntry>(e.entry) : std::nullopt;
     }
   }
@@ -332,8 +325,8 @@ std::optional<RuleEntry> RuleFilter::lookup_memo(const Key68& key,
   // after an O(1) invalidation), else the set's LRU way — replacing a
   // live entry of another key is the conflict eviction the 2-way
   // geometry exists to reduce, so count it.
-  u32 victim = memo.ways_ == 2 ? memo.lru_[set] : 0;
-  for (u32 w = 0; w < memo.ways_; ++w) {
+  u32 victim = memo.lru_[set];
+  for (u32 w = 0; w < ProbeMemo::kWays; ++w) {
     if (base[w].gen != memo.gen_) {
       victim = w;
       break;
@@ -348,9 +341,7 @@ std::optional<RuleEntry> RuleFilter::lookup_memo(const Key68& key,
   e.matched = verdict.has_value();
   e.entry = verdict.value_or(RuleEntry{});
   e.probe_accesses = static_cast<u32>(probe.memory_accesses());
-  if (memo.ways_ == 2) {
-    memo.lru_[set] = static_cast<u8>(victim ^ 1);
-  }
+  memo.lru_[set] = static_cast<u8>(victim ^ 1);
   return verdict;
 }
 

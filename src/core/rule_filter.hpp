@@ -45,15 +45,13 @@ struct RuleEntry {
 /// Filter: repeated label combinations (fw-like traffic) resolve in one
 /// cycle instead of re-walking hash + probe chain.
 ///
-/// Geometry: \p ways = 2 (the default) pairs each set index with two
-/// tagged ways and a one-bit LRU, so two hot cross-batch combinations
-/// that collide on the same set coexist instead of evicting each other
-/// on every alternation — the conflict-miss pathology of a direct map
-/// (cf. RVH: hash-structure conflict behavior dominates online
-/// classification tail latency). \p ways = 1 keeps the direct-mapped
-/// layout as the A/B reference (--memo-ways 1). A replacement that
-/// overwrites a *live* entry of a different key is counted in
-/// conflict_evictions() — the observable the A/B compares.
+/// Geometry: two tagged ways per set with a one-bit LRU, so two hot
+/// cross-batch combinations that collide on the same set coexist
+/// instead of evicting each other on every alternation — the
+/// conflict-miss pathology of a direct map (cf. RVH: hash-structure
+/// conflict behavior dominates online classification tail latency). A
+/// replacement that overwrites a *live* entry of a different key is
+/// counted in conflict_evictions().
 ///
 /// Lifetime: the memo is *persistent* — entries are tagged with the
 /// device state they were cached against (a (device id, update epoch)
@@ -64,8 +62,7 @@ struct RuleEntry {
 /// the replica the worker classifies against) or the same classifier
 /// absorbed an update (every update-path mutation bumps the device
 /// epoch). A stale entry can therefore never serve across a version
-/// boundary. ClassifierConfig::batch_memo_persistent = false restores
-/// the PR-3 per-batch reset as an A/B reference.
+/// boundary.
 ///
 /// Cycle-charging contract (preserved by RuleFilter::lookup_memo): a
 /// memo hit returns the identical verdict and charges the identical
@@ -73,32 +70,25 @@ struct RuleEntry {
 /// access-count tables stay calibrated and per-packet memory_accesses
 /// are invariant under the memo — but only one cycle of latency (the
 /// ways of a set are tag-compared in parallel, like a set-associative
-/// cache, so associativity does not change the hit cost). Per-packet
+/// cache). Per-packet
 /// cycles are therefore <= the scalar path's, never different in
 /// accesses.
 class ProbeMemo {
  public:
   static constexpr u32 kDefaultSlots = 512;
-  static constexpr u32 kDefaultWays = 2;
+  static constexpr u32 kWays = 2;
 
   /// \p slots is the total entry count, rounded up to a power of two
-  /// (>= 16); \p ways must be 1 (direct-mapped) or 2 (set-associative
-  /// with per-set LRU), and divides the rounded slot count into sets.
-  /// An overflowing cluster simply stops memoizing (correctness is
-  /// unaffected; the probe runs for real).
-  /// \throws ConfigError for any other \p ways.
-  explicit ProbeMemo(u32 slots = kDefaultSlots, u32 ways = kDefaultWays);
+  /// (>= 16) and split into sets of kWays entries. An overflowing
+  /// cluster simply stops memoizing (correctness is unaffected; the
+  /// probe runs for real).
+  explicit ProbeMemo(u32 slots = kDefaultSlots);
 
   /// The entry count a memo built with \p slots actually has (the
   /// constructor's rounding rule). Callers that cache a ProbeMemo and
   /// rebuild on geometry change compare against this — one shared
   /// definition, so the check can never desync from the constructor.
   [[nodiscard]] static u32 normalized_slots(u32 slots);
-
-  /// True iff \p ways is a geometry the memo supports (1 or 2).
-  [[nodiscard]] static constexpr bool valid_ways(u32 ways) {
-    return ways == 1 || ways == 2;
-  }
 
   /// Bind the memo to a device state before a batch: \p device_id is a
   /// process-unique classifier id (never reused, unlike an address) and
@@ -114,16 +104,7 @@ class ProbeMemo {
     return true;
   }
 
-  /// Unconditionally invalidate every cached combination in O(1) (the
-  /// per-batch A/B mode; also clears the binding so the next bind()
-  /// reports an invalidation).
-  void invalidate() {
-    bound_device_ = 0;
-    ++gen_;
-  }
-
   [[nodiscard]] u32 slots() const { return static_cast<u32>(entries_.size()); }
-  [[nodiscard]] u32 ways() const { return ways_; }
 
   /// Replacements that overwrote a *live* entry holding a different key
   /// (a conflict miss made visible). Cumulative over the memo's
@@ -142,20 +123,19 @@ class ProbeMemo {
     u32 probe_accesses = 0;  ///< reads the memoized probe performed
   };
 
-  // Small associativity on purpose: a memo miss must stay at ways tag
+  // Small associativity on purpose: a memo miss must stay at kWays tag
   // compares and one overwrite, because low-reuse workloads (acl-like
   // cross-products, where nearly every combination is fresh) pay it on
   // every probe. A colliding hot combination merely re-probes —
   // correctness never depends on the memo's hit rate. Entries of set s
-  // live at entries_[s * ways_ .. s * ways_ + ways_ - 1]; lru_[s] names
-  // the way to replace next (always 0 when direct-mapped). Invalidation
+  // live at entries_[s * kWays .. s * kWays + kWays - 1]; lru_[s] names
+  // the way to replace next. Invalidation
   // stays O(1): the generation bump makes every entry invalid, and
   // replacement prefers invalid ways, so stale LRU bits are harmless.
   std::vector<Entry> entries_;
   std::vector<u8> lru_;
   u64 gen_ = 1;
   u32 set_mask_ = 0;
-  u32 ways_ = kDefaultWays;
   u64 conflict_evictions_ = 0;
   u64 bound_device_ = 0;  ///< 0 = unbound (classifier ids start at 1)
   u64 bound_epoch_ = 0;

@@ -245,8 +245,6 @@ void ActionSink::push_batch(net::PacketBatch& batch) {
       cv.priority = m.priority;
       cv.action_token = m.action_token;
       cv.version = batch.rule_version;
-      cv.cycles = m.lookup_cycles;
-      cv.memory_accesses = m.memory_accesses;
       capture_->push_back(cv);
     }
     if (m.from_cache) ++cache_hits_;

@@ -101,16 +101,6 @@ class TrafficPool {
     return packets_;
   }
 
-  /// Deep copy with a rewound cursor — partition mode gives every shard
-  /// its own full copy of the stream so per-shard drains stay in input
-  /// order (index-aligned verdict capture across shards).
-  [[nodiscard]] TrafficPool clone() const {
-    TrafficPool p;
-    p.packets_ = packets_;
-    p.tuples_ = tuples_;
-    return p;
-  }
-
  private:
   std::vector<net::Packet> packets_;
   std::vector<net::FiveTuple> tuples_;
@@ -200,8 +190,8 @@ class FlowCacheElement : public Element {
 
 /// Phases 2-4: acquire the current RuleProgram (one atomic load per
 /// batch), feed every unresolved packet through the classifier's batch
-/// entry point in one call (under BatchMode::kPhase2 that is the
-/// sorted-key batch engine; the element owns the reusable BatchScratch,
+/// entry point in one call (the sorted-key batch engine or the
+/// scalar loop, as the path policy picks; the element owns the reusable BatchScratch,
 /// so steady-state batches allocate nothing *and* the scratch's
 /// snapshot-keyed probe memo and EWMA path controller persist across
 /// this worker's batches — hits compound while the published program
@@ -279,8 +269,7 @@ class ClassifierElement : public Element {
 
 /// Tail element: verdict accounting and latency measurement. With a
 /// \p capture vector attached it also records every packet's verdict in
-/// arrival order (the partition combiner's and the sharded differential
-/// fuzzer's input) — finite runs only; the engine rejects capture in
+/// arrival order (the sharded differential fuzzer's input) — finite runs only; the engine rejects capture in
 /// loop mode.
 class ActionSink : public Element {
  public:

@@ -95,7 +95,7 @@ struct SupervisorConfig {
   /// be — they are expected to resume or exit.
   u64 stall_deadline_ms = 500;
   /// Times a dead worker is respawned before it is declared
-  /// permanently failed (and, in replica mode, its shards handed to a
+  /// permanently failed (and, when sharded, its shards handed to a
   /// survivor).
   usize max_restarts = 2;
   /// First restart back-off; doubles per restart. Abort-aware (a
@@ -145,19 +145,15 @@ struct EngineConfig {
   /// flow cache, probe memo, path controller, batch scratch and
   /// telemetry block — pinned shard s -> worker thread s % workers
   /// (workers is clamped to S).
+  /// Each shard drains its steered slice of the pool against the full
+  /// ruleset (a replica).
   usize shards = 0;
-  /// Replica: per-shard steered slices of the pool, full ruleset each.
-  /// Partition: per-shard full copy of the pool, disjoint rule subsets
-  /// (one publisher per shard via the multi-publisher constructor) and
-  /// a per-packet priority combiner — finite runs only.
-  ShardMode shard_mode = ShardMode::kReplica;
   /// Symmetric steering hash: both directions of a flow land on the
-  /// same shard (replica mode's steering stage).
+  /// same shard.
   bool steer_symmetric = false;
   /// Record every packet's verdict (arrival order, per shard) into
   /// EngineReport::captured — the sharded differential fuzzer's hook.
-  /// Finite runs only; partition mode captures regardless (the
-  /// combiner needs the streams).
+  /// Finite runs only.
   bool capture_verdicts = false;
   /// Test hook: invoked as (worker_index) once per batch iteration in
   /// worker_main before the pipeline runs. A throw propagates through
@@ -171,7 +167,7 @@ struct EngineConfig {
   /// injected stalls cancel on drain/shutdown. nullptr in production.
   fault::FaultInjector* fault_injector = nullptr;
   /// Self-healing supervisor (heartbeats + watchdog + bounded restarts
-  /// + replica-mode shard takeover). See SupervisorConfig.
+  /// + sharded-engine shard takeover). See SupervisorConfig.
   SupervisorConfig supervisor;
 };
 
@@ -188,12 +184,6 @@ struct SupervisorStatus {
 class Engine {
  public:
   Engine(EngineConfig cfg, const RuleProgramPublisher& programs);
-  /// Partition-mode constructor: one publisher per shard (disjoint rule
-  /// subsets from partition_rules()). \p shard_programs.size() must
-  /// equal cfg.shards.
-  /// \throws ConfigError on a size mismatch or cfg.shards == 0.
-  Engine(EngineConfig cfg,
-         std::vector<const RuleProgramPublisher*> shard_programs);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -253,8 +243,8 @@ class Engine {
   struct Shard {
     usize index = 0;   ///< shard id (== worker id when unsharded)
     usize owner = 0;   ///< owning worker thread (index % thread count)
-    /// Owned per-shard pool (replica: steered slice; partition: full
-    /// copy). Unsharded shards drain the caller's pool instead.
+    /// Owned per-shard pool (the steered slice). Unsharded shards drain
+    /// the caller's pool instead.
     TrafficPool pool;
     TrafficPool* active_pool = nullptr;  ///< what the source drains
     Pipeline pipeline;
@@ -263,7 +253,7 @@ class Engine {
     FlowCacheElement* cache = nullptr;
     ClassifierElement* classifier = nullptr;
     ActionSink* sink = nullptr;
-    /// In-arrival-order verdict log (capture_verdicts / partition).
+    /// In-arrival-order verdict log (capture_verdicts).
     std::vector<CapturedVerdict> captured;
     /// Set by the owning worker once the shard's source ran dry. Owner-
     /// written, watchdog-read: it is what survives a worker restart or
@@ -302,11 +292,11 @@ class Engine {
   /// The watchdog: scans heartbeats every watchdog_interval_ms, joins
   /// and respawns dead workers (bounded, backed-off), counts stall
   /// episodes, and hands a permanently-failed worker's undrained
-  /// shards to a survivor (replica mode). Exits once the run concluded
+  /// shards to a survivor (sharded engines). Exits once the run concluded
   /// or the engine is stopping.
   void watchdog_main();
   /// Move w's undrained shards to the first non-failed survivor
-  /// (replica mode); otherwise record them as lost on w.
+  /// (sharded engines); otherwise record them as lost on w.
   void take_over_shards(WorkerThread& w);
   /// Does w still own a shard whose pool is not fully delivered?
   [[nodiscard]] static bool has_undrained(const WorkerThread& w);
@@ -315,32 +305,16 @@ class Engine {
   /// WorkerReport for one shard's elements (worker = shard index).
   [[nodiscard]] WorkerReport shard_report(const Shard& s) const;
   /// Sum shard rows owned by one thread into a per-thread row
-  /// (replica mode's workers[] view).
+  /// (the sharded engine's workers[] view).
   [[nodiscard]] static WorkerReport merge_shard_reports(
       usize worker, const std::vector<const WorkerReport*>& rows);
-  /// Partition mode: fold the S index-aligned capture streams into the
-  /// single combined workers[] row by min (priority, rule id) per
-  /// packet, emitting the combined verdict stream into \p combined.
-  [[nodiscard]] WorkerReport combine_partition(
-      const std::vector<WorkerReport>& rows,
-      std::vector<CapturedVerdict>& combined) const;
   /// Effective trace retention cap: 0 = not collecting, SIZE_MAX =
   /// collecting without a limit.
   [[nodiscard]] usize trace_keep() const;
-  /// Publisher feeding shard \p s (shared in unsharded/replica,
-  /// per-shard in partition).
-  [[nodiscard]] const RuleProgramPublisher& program_for(usize s) const {
-    return *programs_[programs_.size() == 1 ? 0 : s];
-  }
-  [[nodiscard]] bool capture_enabled() const {
-    return cfg_.capture_verdicts || (cfg_.shards > 0 &&
-                                     cfg_.shard_mode == ShardMode::kPartition);
-  }
 
   EngineConfig cfg_;
-  /// Size 1 (unsharded / replica: every shard subscribes to the same
-  /// publisher) or cfg_.shards (partition: one per shard).
-  std::vector<const RuleProgramPublisher*> programs_;
+  /// The publisher every shard subscribes to.
+  const RuleProgramPublisher* programs_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<WorkerThread>> threads_;
   /// Per-shard telemetry blocks (index-aligned with shards_; empty

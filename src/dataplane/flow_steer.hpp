@@ -9,45 +9,19 @@
 /// same shard — the invariant the per-shard flow caches and probe memos
 /// rely on for locality).
 ///
-/// Two sharding modes:
-///   * kReplica   — every shard holds the full ruleset; steering only
-///                  buys cache locality. Verdicts are trivially
-///                  identical to the unsharded engine.
-///   * kPartition — shards hold disjoint rule subsets (priority-
-///                  preserving round-robin split) and each shard
-///                  classifies the *whole* stream; a combiner picks,
-///                  per packet, the matching shard verdict with the
-///                  smallest (priority, rule id) — exactly
-///                  LinearSearch's stable tie-break, so the combined
-///                  verdict equals the unsharded one by construction.
+/// Every shard holds the full ruleset (a replica), so steering only buys
+/// cache locality and verdicts are trivially identical to the unsharded
+/// engine.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/hash.hpp"
 #include "dataplane/elements.hpp"
 #include "net/five_tuple.hpp"
-#include "ruleset/rule_set.hpp"
 
 namespace pclass::dataplane {
-
-/// How shards relate to the ruleset (EngineConfig::shard_mode).
-enum class ShardMode : u8 {
-  kReplica,    ///< full ruleset per shard; steering gives locality
-  kPartition,  ///< disjoint rule subsets + priority combiner
-};
-
-[[nodiscard]] constexpr const char* to_string(ShardMode m) {
-  return m == ShardMode::kReplica ? "replica" : "partition";
-}
-
-/// CLI spelling -> mode ("replica" / "partition"); nullopt on anything
-/// else so the tools can print usage instead of guessing.
-[[nodiscard]] std::optional<ShardMode> parse_shard_mode(std::string_view s);
 
 /// The steering hash: mix64 avalanche over the 5-tuple. With
 /// \p symmetric the (ip, port) endpoint pairs are canonically ordered
@@ -79,21 +53,12 @@ enum class ShardMode : u8 {
 }
 
 /// Split \p pool into \p nshards per-shard pools by steering hash
-/// (replica mode's ingress stage). Raw-packet pools are steered by their
+/// (the sharded engine's ingress stage). Raw-packet pools are steered by their
 /// parsed header; unparsable packets — which every shard would drop
 /// identically anyway — are spread round-robin.
 /// \throws ConfigError when nshards == 0.
 [[nodiscard]] std::vector<TrafficPool> steer_split(const TrafficPool& pool,
                                                    usize nshards,
                                                    bool symmetric = false);
-
-/// Priority-preserving disjoint split for partition mode: rules are
-/// dealt round-robin in ruleset order (ascending priority), verbatim —
-/// ids and priorities untouched — so the union of the parts is exactly
-/// the input and every shard holds a balanced cross-section of the
-/// priority range.
-/// \throws ConfigError when nshards == 0.
-[[nodiscard]] std::vector<ruleset::RuleSet> partition_rules(
-    const ruleset::RuleSet& rules, usize nshards);
 
 }  // namespace pclass::dataplane

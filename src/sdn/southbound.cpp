@@ -25,11 +25,6 @@ hw::UpdateStats apply_message(core::ConfigurableClassifier& clf,
   // steer host-side execution strategy and are free by the cost model.
   const auto& cm = std::get<ConfigMod>(msg);
   hw::UpdateStats cost;
-  // Validating setters may throw (e.g. an unsupported memo_ways); apply
-  // them first so a rejected ConfigMod does not half-reconfigure the
-  // device (set_ip_algorithm is the only non-trivially-revertible one).
-  if (cm.memo_ways) clf.set_batch_memo_ways(*cm.memo_ways);
-  if (cm.batch_mode) clf.set_batch_mode(*cm.batch_mode);
   if (cm.path_policy) clf.set_batch_path_policy(*cm.path_policy);
   if (cm.ip_algorithm) {
     cost += clf.set_ip_algorithm(*cm.ip_algorithm);

@@ -19,7 +19,6 @@
 
 #include "core/config.hpp"
 #include "core/path_controller.hpp"
-#include "dataplane/flow_steer.hpp"
 #include "dataplane/stats.hpp"
 #include "net/packet_batch.hpp"
 #include "telemetry/sample.hpp"
@@ -43,23 +42,11 @@ struct ScenarioOptions {
   /// per-family win/loss axis of the catalog (MBT/BST trie family vs
   /// the incremental-update RVH).
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  /// classify_batch() strategy for every scenario's device (the
-  /// phase-2 vs scalar A/B knob; modeled results are identical, host
-  /// throughput is not).
-  core::BatchMode batch_mode = core::BatchMode::kPhase2;
-  /// Probe-memo lifetime A/B: true (default) = snapshot-keyed memo
-  /// persisting across batches; false = the PR-3 per-batch reset.
-  /// Byte-identical workloads + this knob = the cross-batch hit-rate
-  /// comparison CI uploads.
-  bool memo_persistent = true;
-  /// Probe-memo associativity A/B: 2 (default) = two tagged ways per
-  /// set with LRU, 1 = the direct-mapped reference (--memo-ways).
-  u32 memo_ways = 2;
   /// Phase-2 execution-path policy. kAdaptive (default) lets each
   /// worker's cost-model controller pick per batch; kForcePhase2 pins
-  /// the batch engine (+memo), making memo hit counts deterministic —
-  /// what the CI persistent-vs-per-batch A/B pins so the hit-rate gain
-  /// reflects the memo lifetime, not controller choices.
+  /// the batch engine (+memo), making memo hit counts deterministic;
+  /// kForceScalarLoop pins the packet-at-a-time loop (the scalar A/B
+  /// reference: modeled results are identical, host throughput is not).
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   /// Scenarios run concurrently by run_all()/run_many() (results are
   /// independent; report order stays catalog order). 0 = auto: as many
@@ -89,13 +76,9 @@ struct ScenarioOptions {
   /// export, they are not embedded in the JSON report).
   bool collect_trace = false;
   /// RSS-style shard count (--shards). 0 = unsharded (the legacy
-  /// geometry: every worker thread drains the shared pool).
+  /// geometry: every worker thread drains the shared pool); S > 0 gives
+  /// each shard a steered per-flow slice and the full ruleset.
   usize shards = 0;
-  /// Replica: steered per-flow slices, full ruleset per shard.
-  /// Partition: full stream per shard, disjoint rule subsets + priority
-  /// combiner — finite scenarios only; the loop-mode update-storm
-  /// scenarios fall back to unsharded under partition (--shard-mode).
-  dataplane::ShardMode shard_mode = dataplane::ShardMode::kReplica;
   /// Symmetric steering hash: both flow directions land on one shard.
   bool steer_symmetric = false;
   /// Fault-injection plan for the chaos scenario (--fault-plan), in
@@ -130,7 +113,7 @@ struct ScenarioResult {
   /// plus one per snapshot swap a worker classified across).
   u64 probe_memo_invalidations = 0;
   /// Memo replacements that evicted a live entry of another key, summed
-  /// across workers (the --memo-ways 1-vs-2 A/B observable).
+  /// across workers.
   u64 probe_memo_conflict_evictions = 0;
   /// Path-controller choices, summed across workers: batches served by
   /// the scalar loop / batch engine / batch engine + memo.
@@ -193,15 +176,9 @@ struct ScenarioResult {
   u64 lost_packets = 0;    ///< claimed but in flight inside a dead worker
   bool conserved = true;   ///< delivered + shed + lost == offered
   /// Raw per-shard rows (EngineReport::shards; empty when the scenario
-  /// ran unsharded) — the report's `shards` array. Replica invariant:
+  /// ran unsharded) — the report's `shards` array. Invariant:
   /// per-counter sums equal the engine totals above.
   std::vector<dataplane::WorkerReport> shard_reports;
-  /// Shard geometry the scenario *actually* ran with ("unsharded",
-  /// "replica" or "partition") — distinct from the requested options
-  /// when a loop-mode scenario cannot honor partition sharding and
-  /// falls back to unsharded; the report surfaces the fallback instead
-  /// of echoing the request.
-  std::string shard_mode_effective = "unsharded";
 
   std::string error;  ///< non-empty when the scenario failed to run
 

@@ -21,7 +21,6 @@
 #include "alg/batch_keys.hpp"
 #include "alg/multibit_trie.hpp"
 #include "baseline/linear_search.hpp"
-#include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/classifier.hpp"
 #include "dataplane/rule_program.hpp"
@@ -102,7 +101,7 @@ void check_equivalence(core::ClassifierConfig cfg,
   std::vector<core::ClassifyResult> out;
   for (const usize batch : kBatchSizes) {
     // Memo off: bit-exact replay of the scalar cost model.
-    clf.set_batch_mode(core::BatchMode::kPhase2);
+    clf.set_batch_path_policy(cfg.batch_path_policy);
     clf.set_batch_probe_memo(false);
     run_batched(clf, in, batch, out);
     for (usize i = 0; i < in.size(); ++i) {
@@ -121,8 +120,8 @@ void check_equivalence(core::ClassifierConfig cfg,
           << "memo on, batch " << batch << ", packet " << i;
     }
 
-    // Scalar batch mode: trivially the scalar path.
-    clf.set_batch_mode(core::BatchMode::kScalar);
+    // Forced scalar loop: trivially the scalar path.
+    clf.set_batch_path_policy(core::PathPolicy::kForceScalarLoop);
     run_batched(clf, in, batch, out);
     for (usize i = 0; i < in.size(); ++i) {
       expect_verdicts_equal(out[i], ref.results[i], i);
@@ -181,16 +180,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Adversarial trace shapes: depth-heavy and thrash-heavy key patterns
 // stress the MBT path cache and the adaptive gates respectively.
-TEST(BatchMemoConfig, InvalidWaysRejectedAtConfigTime) {
-  core::ClassifierConfig cfg;
-  cfg.batch_memo_ways = 3;
-  EXPECT_THROW(core::ConfigurableClassifier{cfg}, ConfigError);
-  core::ConfigurableClassifier clf;
-  EXPECT_THROW(clf.set_batch_memo_ways(0), ConfigError);
-  EXPECT_NO_THROW(clf.set_batch_memo_ways(1));
-  EXPECT_NO_THROW(clf.set_batch_memo_ways(2));
-}
-
 TEST(BatchPhase2, AdversarialTraces) {
   const ruleset::RuleSet rules = workload::synthesize(
       workload::RulesetProfile::acl(200, 99));
@@ -205,9 +194,9 @@ TEST(BatchPhase2, AdversarialTraces) {
   check_equivalence(cfg, rules, headers_of(thrash));
 }
 
-// Controller-forced-path matrix: every PathPolicy x memo eligibility x
-// memo lifetime combination must reproduce the scalar verdicts and
-// per-packet accesses; cycles stay exact whenever the memo cannot
+// Controller-forced-path matrix: every PathPolicy x memo eligibility
+// combination must reproduce the scalar verdicts and per-packet
+// accesses; cycles stay exact whenever the memo cannot
 // engage and never exceed scalar when it can.
 TEST(BatchPhase2, ControllerForcedPathMatrix) {
   const ruleset::RuleSet rules = workload::synthesize(
@@ -227,25 +216,73 @@ TEST(BatchPhase2, ControllerForcedPathMatrix) {
        {core::PathPolicy::kAdaptive, core::PathPolicy::kForcePhase2,
         core::PathPolicy::kForceScalarLoop}) {
     for (const bool memo : {false, true}) {
-      for (const bool persistent : {false, true}) {
-        clf.set_batch_path_policy(policy);
-        clf.set_batch_probe_memo(memo);
-        clf.set_batch_memo_persistent(persistent);
-        run_batched(clf, in, 32, out);
-        const bool memo_can_engage =
-            memo && policy != core::PathPolicy::kForceScalarLoop;
-        for (usize i = 0; i < in.size(); ++i) {
-          expect_verdicts_equal(out[i], ref.results[i], i);
-          if (memo_can_engage) {
-            EXPECT_LE(out[i].cycles, ref.results[i].cycles)
-                << "policy " << to_string(policy) << ", packet " << i;
-          } else {
-            EXPECT_EQ(out[i].cycles, ref.results[i].cycles)
-                << "policy " << to_string(policy) << ", packet " << i;
-            EXPECT_EQ(out[i].memo_hits, 0u);
-          }
+      clf.set_batch_path_policy(policy);
+      clf.set_batch_probe_memo(memo);
+      run_batched(clf, in, 32, out);
+      const bool memo_can_engage =
+          memo && policy != core::PathPolicy::kForceScalarLoop;
+      for (usize i = 0; i < in.size(); ++i) {
+        expect_verdicts_equal(out[i], ref.results[i], i);
+        if (memo_can_engage) {
+          EXPECT_LE(out[i].cycles, ref.results[i].cycles)
+              << "policy " << to_string(policy) << ", packet " << i;
+        } else {
+          EXPECT_EQ(out[i].cycles, ref.results[i].cycles)
+              << "policy " << to_string(policy) << ", packet " << i;
+          EXPECT_EQ(out[i].memo_hits, 0u);
         }
       }
+    }
+  }
+}
+
+// Every classify_batch() call that carries a header counts on exactly
+// one path, whatever its size: a one-header batch is a scalar-loop batch
+// (untimed, so it never enters the cost fit), an empty call counts on
+// none.
+TEST(BatchPhase2, PathCountersCountEveryNonEmptyBatch) {
+  const ruleset::RuleSet rules = workload::synthesize(
+      workload::RulesetProfile::acl(120, 5));
+  workload::TraceSynthesizer ts(
+      rules, workload::TraceProfile::standard(200, 5 ^ 0x77));
+  const auto in = headers_of(ts.generate());
+
+  core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(512);
+  cfg.combine_mode = core::CombineMode::kCrossProduct;
+  core::ConfigurableClassifier clf(cfg);
+  clf.add_rules(rules);
+
+  for (const core::PathPolicy policy :
+       {core::PathPolicy::kAdaptive, core::PathPolicy::kForcePhase2,
+        core::PathPolicy::kForceScalarLoop}) {
+    clf.set_batch_path_policy(policy);
+    core::BatchScratch scratch;
+    std::vector<core::ClassifyResult> out(in.size());
+    u64 non_empty_calls = 0;
+    u64 one_header_calls = 0;
+    usize off = 0;
+    for (const usize len : {0u, 1u, 1u, 32u, 0u, 1u, 7u, 1u, 64u, 1u}) {
+      clf.classify_batch(std::span(in).subspan(off, len),
+                         std::span(out).subspan(off, len), scratch);
+      off += len;
+      non_empty_calls += len > 0;
+      one_header_calls += len == 1;
+    }
+    u64 counted = 0;
+    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
+      counted += scratch.controller.batches(static_cast<core::BatchPath>(p));
+    }
+    EXPECT_EQ(counted, non_empty_calls) << to_string(policy);
+    EXPECT_GE(scratch.controller.batches(core::BatchPath::kScalarLoop),
+              one_header_calls)
+        << to_string(policy);
+    if (policy == core::PathPolicy::kForcePhase2) {
+      // Only the one-header batches took the scalar loop, and none of
+      // them fed the fit.
+      EXPECT_EQ(scratch.controller.batches(core::BatchPath::kScalarLoop),
+                one_header_calls);
+      EXPECT_EQ(
+          scratch.controller.observations(core::BatchPath::kScalarLoop), 0u);
     }
   }
 }
@@ -290,13 +327,6 @@ TEST(BatchPhase2, PersistentMemoCompoundsAcrossBatches) {
       << "a warm persistent memo must serve more hits than a cold one";
   // One bind at first use; never again while the device is unchanged.
   EXPECT_EQ(scratch.memo_invalidations, 1u);
-
-  // Per-batch mode as the A/B: every batch invalidates.
-  clf.set_batch_memo_persistent(false);
-  const u64 inval_before = scratch.memo_invalidations;
-  (void)pass();
-  EXPECT_EQ(scratch.memo_invalidations - inval_before,
-            (in.size() + 31) / 32);
 }
 
 // Stale entries must never serve across an in-place device update: the

@@ -99,9 +99,10 @@ TEST(ControlProtocol, ParsesSetCommands) {
   ASSERT_TRUE(cm.path_policy.has_value());
   EXPECT_EQ(*cm.path_policy, core::PathPolicy::kForceScalarLoop);
 
-  const std::vector<std::string> mw = {"memo-ways", "2"};
-  EXPECT_EQ(*std::get<sdn::ConfigMod>(control::parse_set_command(mw)).memo_ways,
-            2u);
+  const std::vector<std::string> ad = {"path-policy", "adaptive"};
+  EXPECT_EQ(
+      *std::get<sdn::ConfigMod>(control::parse_set_command(ad)).path_policy,
+      core::PathPolicy::kAdaptive);
 
   const std::vector<std::string> alg = {"ip-alg", "rvh"};
   EXPECT_EQ(
@@ -110,7 +111,7 @@ TEST(ControlProtocol, ParsesSetCommands) {
 
   const std::vector<std::string> bad_knob = {"turbo", "on"};
   EXPECT_THROW((void)control::parse_set_command(bad_knob), ParseError);
-  const std::vector<std::string> bad_value = {"batch-mode", "warp"};
+  const std::vector<std::string> bad_value = {"path-policy", "warp"};
   EXPECT_THROW((void)control::parse_set_command(bad_value), ParseError);
 }
 
@@ -349,7 +350,7 @@ TEST(ControlServer, RejectsMalformedUnknownAndOversizedLines) {
     EXPECT_EQ(c.request("frobnicate now").code, 400);
     EXPECT_EQ(c.request("write rule add 1 2").code, 400);  // bad arity
     EXPECT_EQ(c.request("write rule add x 2 * * * * 6 drop").code, 400);
-    EXPECT_EQ(c.request("write set memo-ways 9999").code, 400);
+    EXPECT_EQ(c.request("write set path-policy warp").code, 400);
     EXPECT_EQ(c.request("subscribe stats 0").code, 400);
     EXPECT_EQ(c.request("read").code, 400);
     // Empty lines are ignored, not answered.
@@ -468,8 +469,9 @@ TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
 
   // Config knobs land through the same southbound path.
   EXPECT_EQ(c.request("write set path-policy phase2").code, 200);
-  EXPECT_EQ(c.request("write set batch-mode scalar").code, 200);
-  EXPECT_EQ(c.request("write set batch-mode phase2").code, 200);
+  // The batch-mode and memo-ways knobs are gone: unknown knobs.
+  EXPECT_EQ(c.request("write set batch-mode scalar").code, 400);
+  EXPECT_EQ(c.request("write set memo-ways 2").code, 400);
 }
 
 // ---- streaming subscriptions ----------------------------------------------
@@ -572,7 +574,7 @@ TEST(ControlPlane, DrainReconcilesLiveScrapeWithReportTotals) {
   EXPECT_EQ(c.request("write rule add 62001 62001 10.0.1.2/32 * * * 6 drop")
                 .code,
             409);
-  EXPECT_EQ(c.request("write set memo-ways 1").code, 409);
+  EXPECT_EQ(c.request("write set path-policy phase2").code, 409);
   EXPECT_EQ(c.read_request("read metrics").code, 200);
   EXPECT_EQ(c.read_request("read timeseries").code, 200);
 }

@@ -4,7 +4,7 @@
 //   {acl,fw,ipc} RulesetProfile draws x synthesized traces
 //   x IP lookup backends {mbt, bst, rvh}
 //   x batch sizes {1, 32, 256}
-//   x probe-memo {ways 1, ways 2} x {per-batch, persistent} x {off}
+//   x probe-memo {on, off}
 //   x memo slot counts {16, 64, 512} (tiny memos force eviction churn)
 //   x all PathPolicy pins (adaptive / phase2 / scalar-loop)
 // and drives the trace through classify_batch() with ONE long-lived
@@ -32,8 +32,8 @@
 // reproducible by exporting the same value).
 //
 // The second half of the file is the *sharded-engine* differential
-// fuzzer: real multi-worker Engines (2-4 shards, 1..S threads, replica
-// and partition geometry) with verdict capture on, while a concurrent
+// fuzzer: real multi-worker Engines (2-4 shards, 1..S threads) with
+// verdict capture on, while a concurrent
 // mutator streams rule updates through the RuleProgramPublisher
 // mid-classification. Every captured verdict is checked against a
 // LinearSearch oracle reconstructed at exactly the rule-program
@@ -82,9 +82,7 @@ struct FuzzConfig {
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   usize batch = 0;
   bool memo_on = true;
-  u32 memo_ways = 2;
   u32 memo_slots = 512;
-  bool memo_persistent = true;
   core::PathPolicy policy = core::PathPolicy::kAdaptive;
   bool updates = false;
   u64 seed = 0;
@@ -96,9 +94,7 @@ struct FuzzConfig {
            " alg=" + std::string(to_string(alg)) +
            " batch=" + std::to_string(batch) +
            " memo=" + (memo_on ? "on" : "off") +
-           " ways=" + std::to_string(memo_ways) +
            " slots=" + std::to_string(memo_slots) +
-           (memo_persistent ? " persistent" : " per-batch") +
            " policy=" + std::string(to_string(policy)) +
            (updates ? " updates=yes" : " updates=no") +
            " seed=" + std::to_string(seed);
@@ -116,9 +112,7 @@ FuzzConfig draw_config(Rng& rng, u64 seed) {
                      core::IpAlgorithm::kRvh}[rng.below(3)];
   c.batch = std::array<usize, 3>{1, 32, 256}[rng.below(3)];
   c.memo_on = rng.below(8) != 0;  // mostly on — it is the system under test
-  c.memo_ways = rng.below(2) == 0 ? 1 : 2;
   c.memo_slots = std::array<u32, 3>{16, 64, 512}[rng.below(3)];
-  c.memo_persistent = rng.below(2) == 0;
   c.policy = std::array{core::PathPolicy::kAdaptive,
                         core::PathPolicy::kForcePhase2,
                         core::PathPolicy::kForceScalarLoop}[rng.below(3)];
@@ -184,11 +178,8 @@ void run_config(const FuzzConfig& c) {
       core::ClassifierConfig::for_scale(rules.size() + 64);
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact => oracle
   cfg.ip_algorithm = c.alg;
-  cfg.batch_mode = core::BatchMode::kPhase2;
   cfg.batch_probe_memo = c.memo_on;
   cfg.batch_memo_slots = c.memo_slots;
-  cfg.batch_memo_ways = c.memo_ways;
-  cfg.batch_memo_persistent = c.memo_persistent;
   cfg.batch_path_policy = c.policy;
   core::ConfigurableClassifier clf(cfg);
   clf.add_rules(rules);
@@ -290,7 +281,7 @@ TEST(DifferentialFuzz, UpdateStormNeverServesStaleUnderTinyMemo) {
   // either one skipping it would serve a stale memo entry here.
   for (const core::IpAlgorithm alg :
        {core::IpAlgorithm::kMbt, core::IpAlgorithm::kRvh}) {
-    for (const u32 ways : {1u, 2u}) {
+    for (usize round = 0; round < 2; ++round) {  // two seeds per backend
       const u64 cseed = meta.next();
       FuzzConfig c;
       c.seed = cseed;
@@ -301,9 +292,7 @@ TEST(DifferentialFuzz, UpdateStormNeverServesStaleUnderTinyMemo) {
       c.alg = alg;
       c.batch = 32;
       c.memo_on = true;
-      c.memo_ways = ways;
       c.memo_slots = 16;  // minimum geometry: every set under pressure
-      c.memo_persistent = true;
       c.policy = core::PathPolicy::kForcePhase2;  // memo always engaged
       c.updates = true;
       SCOPED_TRACE(c.describe());
@@ -316,8 +305,8 @@ TEST(DifferentialFuzz, UpdateStormNeverServesStaleUnderTinyMemo) {
 // Sharded-engine differential fuzz: real Engines, real worker threads,
 // live publisher mutations. Where the harness above exercises one
 // classifier on one thread, this one exercises the full sharded runtime
-// — steering, per-shard replicas, RCU snapshot acquisition and the
-// partition combiner — against per-version LinearSearch oracles.
+// — steering, per-shard replicas and RCU snapshot acquisition —
+// against per-version LinearSearch oracles.
 // ===========================================================================
 
 namespace {
@@ -333,9 +322,7 @@ struct ShardFuzzConfig {
   usize workers = 1;   ///< worker threads (may be < shards: multi-shard threads)
   usize batch = 32;
   bool symmetric = false;
-  bool partition = false;   ///< partition geometry (no mutations: the
-                            ///< per-shard publishers version independently)
-  bool mutations = false;   ///< concurrent publisher mutator (replica only)
+  bool mutations = false;   ///< concurrent publisher mutator
   u32 cache_depth = 0;
   u64 seed = 0;
 
@@ -348,7 +335,6 @@ struct ShardFuzzConfig {
            " workers=" + std::to_string(workers) +
            " batch=" + std::to_string(batch) +
            (symmetric ? " steer=symmetric" : " steer=plain") +
-           (partition ? " mode=partition" : " mode=replica") +
            (mutations ? " mutations=yes" : " mutations=no") +
            " cache=" + std::to_string(cache_depth) +
            " seed=" + std::to_string(seed);
@@ -368,14 +354,11 @@ ShardFuzzConfig draw_shard_config(Rng& rng, u64 seed) {
   c.workers = 1 + static_cast<usize>(rng.below(c.shards));   // 1..S
   c.batch = std::array<usize, 3>{8, 32, 64}[rng.below(3)];
   c.symmetric = rng.below(2) == 0;
-  c.partition = rng.below(4) == 0;  // every ~4th iteration
-  if (!c.partition) {
-    c.mutations = rng.below(2) == 0;
-    // The flow cache's one-batch stale window is by design; the
-    // per-version oracle check demands exact verdicts, so the cache
-    // stays off whenever the mutator runs.
-    c.cache_depth = c.mutations ? 0 : (rng.below(2) == 0 ? 0 : 64);
-  }
+  c.mutations = rng.below(2) == 0;
+  // The flow cache's one-batch stale window is by design; the
+  // per-version oracle check demands exact verdicts, so the cache stays
+  // off whenever the mutator runs.
+  c.cache_depth = c.mutations ? 0 : (rng.below(2) == 0 ? 0 : 64);
   return c;
 }
 
@@ -471,48 +454,8 @@ void run_shard_config(const ShardFuzzConfig& c) {
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact => oracle
   cfg.ip_algorithm = c.alg;
 
-  if (c.partition) {
-    // Disjoint rule subsets, one publisher per shard, no mutations: the
-    // combined stream must equal LinearSearch over the full set.
-    const std::vector<ruleset::RuleSet> parts =
-        dataplane::partition_rules(rules, c.shards);
-    std::vector<std::unique_ptr<dataplane::RuleProgramPublisher>> pubs;
-    std::vector<const dataplane::RuleProgramPublisher*> ptrs;
-    for (const ruleset::RuleSet& part : parts) {
-      pubs.push_back(std::make_unique<dataplane::RuleProgramPublisher>(cfg));
-      pubs.back()->install_ruleset(part);
-      ptrs.push_back(pubs.back().get());
-    }
-    dataplane::Engine engine(
-        {.workers = c.workers,
-         .batch_size = c.batch,
-         .telemetry = false,
-         .shards = c.shards,
-         .shard_mode = dataplane::ShardMode::kPartition},
-        ptrs);
-    const dataplane::EngineReport rep = engine.run(pool);
-    ASSERT_TRUE(rep.first_error().empty())
-        << c.describe() << ": " << rep.first_error();
-    ASSERT_EQ(rep.combined.size(), trace.size()) << c.describe();
-    ASSERT_EQ(rep.workers.size(), 1u) << c.describe();
-    EXPECT_EQ(rep.workers[0].packets, trace.size()) << c.describe();
-    const baseline::LinearSearch oracle(rules);
-    for (usize i = 0; i < trace.size(); ++i) {
-      const ruleset::Rule* want = oracle.classify(trace[i].header, nullptr);
-      const dataplane::CapturedVerdict& cv = rep.combined[i];
-      ASSERT_EQ(cv.matched, want != nullptr) << c.describe() << " pkt " << i;
-      if (want != nullptr) {
-        ASSERT_EQ(cv.rule, want->id) << c.describe() << " pkt " << i;
-        ASSERT_EQ(cv.priority, want->priority) << c.describe() << " pkt " << i;
-        ASSERT_EQ(cv.action_token, want->action.token)
-            << c.describe() << " pkt " << i;
-      }
-    }
-    return;
-  }
-
-  // Replica geometry: one publisher, steered slices, optional live
-  // mutator racing the workers.
+  // One publisher, steered slices, optional live mutator racing the
+  // workers.
   dataplane::RuleProgramPublisher pub(cfg);
   pub.install_ruleset(rules);
   VersionedOracles oracles;
@@ -548,7 +491,6 @@ void run_shard_config(const ShardFuzzConfig& c) {
       .flow_cache_depth = c.cache_depth,
       .telemetry = false,
       .shards = c.shards,
-      .shard_mode = dataplane::ShardMode::kReplica,
       .steer_symmetric = c.symmetric,
       .capture_verdicts = true};
   if (c.mutations) {
@@ -678,7 +620,6 @@ TEST(ShardedDifferentialFuzz, UpdateStormAcrossShardsNeverServesStaleVerdict) {
       c.workers = 4;
       c.batch = 16;  // many snapshot acquisitions per run
       c.symmetric = symmetric;
-      c.partition = false;
       c.mutations = true;
       c.cache_depth = 0;
       SCOPED_TRACE(c.describe());

@@ -321,7 +321,6 @@ TEST(RvhEpoch, InPlaceBucketUpdateNeverServesStaleMemoEntry) {
   cfg.combine_mode = core::CombineMode::kCrossProduct;
   cfg.ip_algorithm = core::IpAlgorithm::kRvh;
   cfg.batch_probe_memo = true;
-  cfg.batch_memo_persistent = true;
   cfg.batch_memo_slots = 16;  // maximal collision pressure
   cfg.batch_path_policy = core::PathPolicy::kForcePhase2;
   core::ConfigurableClassifier clf(cfg);

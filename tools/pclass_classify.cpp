@@ -6,12 +6,10 @@
 ///
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
-///                   [--batch-mode scalar|phase2]
-///                   [--memo persistent|per-batch|off] [--memo-ways 1|2]
+///                   [--memo persistent|off]
 ///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
-///                   [--shards N] [--shard-mode replica|partition]
-///                   [--steer-symmetric]
+///                   [--shards N] [--steer-symmetric]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
 ///
@@ -24,29 +22,21 @@
 /// end-of-run counters in Prometheus text format. All three require
 /// --workers, as do the sharding knobs: --shards N steers packets to N
 /// RSS-style shards by 5-tuple flow hash (--steer-symmetric
-/// canonicalizes endpoint order so both flow directions co-locate);
-/// --shard-mode partition instead splits the ruleset into disjoint
-/// per-shard subsets whose verdicts a combiner merges by best
-/// (priority, rule id) — verdict-identical to the unsharded run.
-///
-/// --batch-mode selects how batches run phase 2 (the A/B knob): scalar
-/// = packet-at-a-time, phase2 = sorted-key batch engine. It applies to
-/// the engine path and to the single-threaded loop (which then
-/// classifies in batches of --batch and reports host throughput, so the
-/// two modes can be compared directly). Default: phase2.
+/// canonicalizes endpoint order so both flow directions co-locate).
 ///
 /// --memo controls the combination-probe memo: persistent (default,
-/// snapshot-keyed, survives batch boundaries), per-batch (the PR-3
-/// reset, the A/B reference) or off; --memo-ways its associativity
-/// (2 = set-associative default, 1 = direct-mapped A/B reference).
-/// --path-policy pins the phase-2 execution path instead of letting
-/// the per-worker cost-model controller pick it per batch.
+/// snapshot-keyed, survives batch boundaries) or off. --path-policy
+/// pins the execution path (scalar-loop = packet-at-a-time, phase2 =
+/// sorted-key batch engine) instead of letting the per-worker
+/// cost-model controller pick it per batch. Both apply to the engine
+/// path and to the single-threaded loop (which classifies in batches of
+/// --batch and reports host throughput, so the paths can be compared
+/// directly).
 #include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,7 +48,6 @@
 #include "core/classifier.hpp"
 #include "core/cycle_model.hpp"
 #include "dataplane/engine.hpp"
-#include "dataplane/flow_steer.hpp"
 #include "net/trace.hpp"
 #include "ruleset/classbench.hpp"
 #include "telemetry/export.hpp"
@@ -70,13 +59,11 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--batch-mode scalar|phase2] "
-               "[--memo persistent|per-batch|off] [--memo-ways 1|2]\n"
-               "                       [--path-policy "
-               "adaptive|phase2|scalar-loop] "
-               "[--workers N [--batch B] [--cache DEPTH]\n"
-               "                        [--shards N] [--shard-mode "
-               "replica|partition] [--steer-symmetric]\n"
+               "                       [--memo persistent|off] "
+               "[--path-policy adaptive|phase2|scalar-loop]\n"
+               "                       [--workers N [--batch B] "
+               "[--cache DEPTH]\n"
+               "                        [--shards N] [--steer-symmetric]\n"
                "                        [--stats-interval-ms N] "
                "[--trace-out FILE] [--metrics-out FILE]]\n"
                "(--batch/--cache, the shard knobs and the telemetry flags "
@@ -117,8 +104,7 @@ struct TelemetryOut {
 /// Dataplane-engine path: the whole trace, batched, across N workers.
 int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                core::ClassifierConfig cfg, usize workers, usize batch,
-               u32 cache_depth, usize shards, dataplane::ShardMode shard_mode,
-               bool steer_symmetric, bool verify, const TelemetryOut& tout) {
+               u32 cache_depth, usize shards, bool steer_symmetric, bool verify, const TelemetryOut& tout) {
   dataplane::RuleProgramPublisher programs(cfg);
   const hw::UpdateStats load = programs.install_ruleset(rules);
   dataplane::TrafficPool pool =
@@ -131,26 +117,8 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
       .stats_interval_ms = tout.stats_interval_ms,
       .collect_trace = !tout.trace_path.empty(),
       .shards = shards,
-      .shard_mode = shard_mode,
       .steer_symmetric = steer_symmetric};
-  // Partition mode: disjoint rule subsets, one publisher per shard
-  // (the full-ruleset publisher above keeps serving --verify).
-  std::vector<std::unique_ptr<dataplane::RuleProgramPublisher>> part_pubs;
-  std::vector<const dataplane::RuleProgramPublisher*> part_ptrs;
-  if (shards > 0 && shard_mode == dataplane::ShardMode::kPartition) {
-    for (const ruleset::RuleSet& part :
-         dataplane::partition_rules(rules, shards)) {
-      part_pubs.push_back(
-          std::make_unique<dataplane::RuleProgramPublisher>(cfg));
-      part_pubs.back()->install_ruleset(part);
-      part_ptrs.push_back(part_pubs.back().get());
-    }
-  }
-  const std::unique_ptr<dataplane::Engine> eng =
-      part_ptrs.empty()
-          ? std::make_unique<dataplane::Engine>(ecfg, programs)
-          : std::make_unique<dataplane::Engine>(ecfg, std::move(part_ptrs));
-  dataplane::Engine& engine = *eng;
+  dataplane::Engine engine(ecfg, programs);
   // The engine clamps degenerate values (0 workers/batch); report the
   // effective geometry, not the requested one.
   workers = engine.config().workers;
@@ -198,12 +166,11 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch) + " (" +
-                           to_string(cfg.batch_mode) + ")"});
+                           to_string(cfg.batch_path_policy) + ")"});
   if (shards > 0) {
-    a.add_row({"shards", std::to_string(shards) + " (" +
-                             std::string(to_string(shard_mode)) +
-                             (steer_symmetric ? ", symmetric steering)"
-                                              : ")")});
+    a.add_row({"shards", std::to_string(shards) +
+                             (steer_symmetric ? " (symmetric steering)"
+                                              : "")});
   }
   a.add_row({"probe memo hits", std::to_string(memo_hits) + " (" +
                                     std::to_string(memo_inval) +
@@ -309,17 +276,13 @@ int main(int argc, char** argv) {
   }
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
-  core::BatchMode batch_mode = core::BatchMode::kPhase2;
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   bool probe_memo = true;
-  bool memo_persistent = true;
-  u32 memo_ways = 2;
   bool verify = false;
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
   u32 cache_depth = 0;
   usize shards = 0;
-  dataplane::ShardMode shard_mode = dataplane::ShardMode::kReplica;
   bool steer_symmetric = false;
   TelemetryOut tout;
   u64 n = 0;
@@ -341,11 +304,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--shards" && i + 1 < argc) {
       if (!parse_count(argv[++i], n)) return usage();
       shards = static_cast<usize>(n);
-    } else if (flag == "--shard-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "replica") shard_mode = dataplane::ShardMode::kReplica;
-      else if (v == "partition") shard_mode = dataplane::ShardMode::kPartition;
-      else return usage();
     } else if (flag == "--steer-symmetric") {
       steer_symmetric = true;
     } else if ((flag == "--alg" || flag == "--ip-alg") && i + 1 < argc) {
@@ -359,27 +317,11 @@ int main(int argc, char** argv) {
       if (v == "first") mode = core::CombineMode::kFirstLabel;
       else if (v == "cross") mode = core::CombineMode::kCrossProduct;
       else return usage();
-    } else if (flag == "--batch-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "scalar") batch_mode = core::BatchMode::kScalar;
-      else if (v == "phase2") batch_mode = core::BatchMode::kPhase2;
-      else return usage();
     } else if (flag == "--memo" && i + 1 < argc) {
       const std::string v = argv[++i];
-      if (v == "persistent") {
-        probe_memo = true;
-        memo_persistent = true;
-      } else if (v == "per-batch") {
-        probe_memo = true;
-        memo_persistent = false;
-      } else if (v == "off") {
-        probe_memo = false;
-      } else {
-        return usage();
-      }
-    } else if (flag == "--memo-ways" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n) || (n != 1 && n != 2)) return usage();
-      memo_ways = static_cast<u32>(n);
+      if (v == "persistent") probe_memo = true;
+      else if (v == "off") probe_memo = false;
+      else return usage();
     } else if (flag == "--path-policy" && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
@@ -410,7 +352,7 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (workers == 0 && (shards > 0 || steer_symmetric)) {
-    std::cerr << "error: --shards/--shard-mode/--steer-symmetric require "
+    std::cerr << "error: --shards/--steer-symmetric require "
                  "the dataplane engine (--workers N)\n";
     return usage();
   }
@@ -429,15 +371,12 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size());
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
-    cfg.batch_mode = batch_mode;
     cfg.batch_probe_memo = probe_memo;
-    cfg.batch_memo_persistent = memo_persistent;
-    cfg.batch_memo_ways = memo_ways;
     cfg.batch_path_policy = path_policy;
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
-                        shards, shard_mode, steer_symmetric, verify, tout);
+                        shards, steer_symmetric, verify, tout);
     }
     if (cache_depth != 0) {
       std::cerr << "note: --cache configures the dataplane engine "
@@ -447,7 +386,7 @@ int main(int argc, char** argv) {
     core::ConfigurableClassifier clf(cfg);
     const auto load = clf.add_rules(rules);
 
-    // Single-threaded loop, batched: the --batch-mode A/B runs over the
+    // Single-threaded loop, batched: the --path-policy A/B runs over the
     // same headers with host wall time measured around the batch calls.
     hw::CycleAggregate agg;
     usize hits = 0;
@@ -483,8 +422,8 @@ int main(int argc, char** argv) {
         clf.lookup_pipeline().initiation_interval());
     TextTable t({"metric", "value"});
     t.add_row({"configuration", std::string(to_string(alg)) + " / " +
-                                    to_string(mode) + " / batch " +
-                                    to_string(batch_mode)});
+                                    to_string(mode) + " / path " +
+                                    to_string(path_policy)});
     t.add_row({"host throughput",
                TextTable::num(host_secs <= 0
                                   ? 0.0
