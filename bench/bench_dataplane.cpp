@@ -35,7 +35,6 @@ struct ScalePoint {
   u64 p50 = 0;
   u64 p99 = 0;
   double hit_rate = 0;
-  u64 memo_hits = 0;
 };
 
 ScalePoint run_point(const dataplane::RuleProgramPublisher& programs,
@@ -63,7 +62,6 @@ ScalePoint run_point(const dataplane::RuleProgramPublisher& programs,
   for (const auto& w : rep.workers) {
     hits += w.cache_hits;
     misses += w.cache_misses;
-    p.memo_hits += w.probe_memo_hits;
   }
   p.hit_rate = hits + misses == 0
                    ? 0.0
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
       dataplane::TrafficPool::from_trace(w.trace, /*materialize=*/false);
 
   TextTable scale({"workers", "Mpps", "speedup", "p50 cyc", "p99 cyc",
-                   "cache hit%", "memo hits"});
+                   "cache hit%"});
   double base_mpps = 0;
   double speedup_at_4 = 0;
   for (const usize workers : {usize{1}, usize{2}, usize{4}, usize{8}}) {
@@ -131,33 +129,11 @@ int main(int argc, char** argv) {
     scale.add_row({std::to_string(workers), TextTable::num(p.mpps, 3),
                    TextTable::num(speedup, 2) + "x",
                    std::to_string(p.p50), std::to_string(p.p99),
-                   TextTable::num(p.hit_rate * 100.0, 1),
-                   std::to_string(p.memo_hits)});
+                   TextTable::num(p.hit_rate * 100.0, 1)});
   }
   scale.print(std::cout);
   std::cout << "speedup at 4 workers: " << TextTable::num(speedup_at_4, 2)
             << "x (target >= 2x; requires >= 4 free cores)\n";
-
-  header("Batch path A/B — phase-2 engine vs scalar loop",
-         "Same ruleset and traffic, 4 workers; the phase-2 engine "
-         "sorts per-dimension keys per batch and memoizes repeated "
-         "combinations.");
-  {
-    core::ClassifierConfig scalar_cfg = cfg;
-    scalar_cfg.batch_path_policy = core::PathPolicy::kForceScalarLoop;
-    dataplane::RuleProgramPublisher scalar_programs(scalar_cfg);
-    scalar_programs.install_ruleset(w.rules);
-    const ScalePoint p2 =
-        run_point(programs, pool, 4, /*cache_depth=*/4096, duration_ms);
-    const ScalePoint sc = run_point(scalar_programs, pool, 4,
-                                    /*cache_depth=*/4096, duration_ms);
-    TextTable ab({"mode", "Mpps", "p99 cyc", "memo hits"});
-    ab.add_row({"phase2", TextTable::num(p2.mpps, 3),
-                std::to_string(p2.p99), std::to_string(p2.memo_hits)});
-    ab.add_row({"scalar", TextTable::num(sc.mpps, 3),
-                std::to_string(sc.p99), "0"});
-    ab.print(std::cout);
-  }
 
   header("Update storm — lookups under concurrent rule churn",
          std::to_string(storm_updates) +

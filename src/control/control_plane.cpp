@@ -41,7 +41,6 @@ void write_stats_sample(workload::JsonWriter& w,
   w.key("batches").value(s.batches);
   w.key("cache_hits").value(s.cache_hits);
   w.key("classifier_lookups").value(s.classifier_lookups);
-  w.key("probe_memo_hits").value(s.probe_memo_hits);
   w.key("memory_accesses").value(s.memory_accesses);
   w.key("mpps").value(s.mpps);
   w.key("p50_cycles").value(s.p50_cycles);
@@ -82,7 +81,6 @@ struct ControlPlane::SubState {
     acc.batches += s.batches;
     acc.cache_hits += s.cache_hits;
     acc.classifier_lookups += s.classifier_lookups;
-    acc.probe_memo_hits += s.probe_memo_hits;
     acc.memory_accesses += s.memory_accesses;
     // Percentiles and versions are point-in-time: latest row wins.
     acc.p50_cycles = s.p50_cycles;
@@ -585,7 +583,6 @@ std::string ControlPlane::stats_json() {
   u64 tot_cache_hits = 0;
   u64 tot_lookups = 0;
   u64 tot_mem = 0;
-  u64 tot_memo_hits = 0;
   u64 vis_samples = 0;
   u64 vis_total_ns = 0;
   u64 vis_max_ns = 0;
@@ -600,7 +597,6 @@ std::string ControlPlane::stats_json() {
     const u64 cache_hits = counter_load(lv.cache_hits);
     const u64 lookups = counter_load(lv.classifier_lookups);
     const u64 mem = counter_load(lv.memory_accesses);
-    const u64 memo_hits = counter_load(lv.probe_memo_hits);
     tot_packets += packets;
     tot_batches += batches;
     tot_matched += matched;
@@ -608,7 +604,6 @@ std::string ControlPlane::stats_json() {
     tot_cache_hits += cache_hits;
     tot_lookups += lookups;
     tot_mem += mem;
-    tot_memo_hits += memo_hits;
     vis_samples += counter_load(lv.update_visibility_samples);
     vis_total_ns += counter_load(lv.update_visibility_total_ns);
     vis_max_ns = std::max(vis_max_ns, counter_load(lv.update_visibility_max_ns));
@@ -623,16 +618,6 @@ std::string ControlPlane::stats_json() {
     w.key("cache_misses").value(counter_load(lv.cache_misses));
     w.key("classifier_lookups").value(lookups);
     w.key("memory_accesses").value(mem);
-    w.key("probe_memo_hits").value(memo_hits);
-    w.key("probe_memo_invalidations")
-        .value(counter_load(lv.probe_memo_invalidations));
-    w.key("probe_memo_conflict_evictions")
-        .value(counter_load(lv.probe_memo_conflict_evictions));
-    w.key("path_scalar_loop_batches")
-        .value(counter_load(lv.path_scalar_loop_batches));
-    w.key("path_phase2_batches").value(counter_load(lv.path_phase2_batches));
-    w.key("path_phase2_memo_batches")
-        .value(counter_load(lv.path_phase2_memo_batches));
     w.key("snapshot_version").value(counter_load(lv.snapshot_version));
     w.end_object();
   }
@@ -646,7 +631,6 @@ std::string ControlPlane::stats_json() {
   w.key("cache_hits").value(tot_cache_hits);
   w.key("classifier_lookups").value(tot_lookups);
   w.key("memory_accesses").value(tot_mem);
-  w.key("probe_memo_hits").value(tot_memo_hits);
   w.end_object();
 
   w.key("update_visibility").begin_object();
@@ -725,8 +709,6 @@ std::string ControlPlane::metrics_text() {
       counter_load(lv.classifier_lookups));
     c("pclass_live_memory_accesses_total", "Modelled block-memory reads.",
       counter_load(lv.memory_accesses));
-    c("pclass_live_probe_memo_hits_total", "Combiner probes served by memo.",
-      counter_load(lv.probe_memo_hits));
     mw.gauge("pclass_live_snapshot_version",
              "Rule-program version this worker last classified against.",
              labels, static_cast<double>(counter_load(lv.snapshot_version)));

@@ -1,8 +1,6 @@
 #include "core/classifier.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <functional>
 
 #include "common/bits.hpp"
@@ -35,24 +33,15 @@ constexpr usize kSport = index_of(Dimension::kSrcPort);
 constexpr usize kDport = index_of(Dimension::kDstPort);
 constexpr usize kProto = index_of(Dimension::kProtocol);
 constexpr usize kSrcIpHi = index_of(Dimension::kSrcIpHi);
-/// The dimensions whose labels carry a device-resident priority bound.
-constexpr std::array<usize, 3> kBoundedDims = {kSport, kDport, kProto};
 
 /// Salt separating the partial filter's hash seed from the Rule
 /// Filter's.
 constexpr u64 kPartialFilterSalt = 0x5041525446494C54ULL;
 
-/// Process-unique device ids (start at 1; 0 is ProbeMemo's "unbound").
-u64 next_device_id() {
-  static std::atomic<u64> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 }  // namespace
 
 ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
     : cfg_(cfg),
-      device_id_(next_device_id()),
       ip_tables_{alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpHi),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpLo),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kDstIpHi),
@@ -130,10 +119,6 @@ ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
 }
 
 hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
-  // Every update-path mutation funnels through here, so bumping the
-  // epoch exactly here is what makes a persistent ProbeMemo safe: the
-  // next bind() sees a new epoch and drops every cached verdict.
-  ++device_epoch_;
   hw::UpdateBus batch;
   for (const hw::UpdateCommand& cmd : log.take()) {
     bus_.charge(cmd);
@@ -577,15 +562,7 @@ ClassifyResult ConfigurableClassifier::classify(
                                      lists[kDport], bounds[kDport]);
     proto_lut_->lookup_bounded_into(h.protocol, &recs[kProto], lists[kProto],
                                     bounds[kProto]);
-    CombineLists in;
-    for (usize d = 0; d < kNumDimensions; ++d) {
-      in.labels[d] = lists[d].begin();
-      in.len[d] = lists[d].size();
-    }
-    for (const usize d : kBoundedDims) {
-      in.bounds[d] = bounds[d].begin();
-    }
-    bounded_combine(in, tail, nullptr, out);
+    bounded_combine(lists, bounds, tail, out);
   }
 
   u64 phase2_cycles = 0;
@@ -598,21 +575,21 @@ ClassifyResult ConfigurableClassifier::classify(
   return out;
 }
 
-u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
-                                            hw::CycleRecorder& tail,
-                                            ProbeMemo* memo,
-                                            ClassifyResult& out) const {
+void ConfigurableClassifier::bounded_combine(
+    const std::array<LabelVec, kNumDimensions>& lists,
+    const std::array<BoundVec, kNumDimensions>& bounds,
+    hw::CycleRecorder& tail, ClassifyResult& out) const {
   // Walk order: the bounded (port, protocol) dimensions outermost, so
   // their bounds can cut whole subtrees of IP-label combinations.
   static constexpr std::array<Dimension, kNumDimensions> kWalk = {
       Dimension::kSrcPort, Dimension::kDstPort, Dimension::kProtocol,
       Dimension::kSrcIpHi, Dimension::kSrcIpLo, Dimension::kDstIpHi,
       Dimension::kDstIpLo};
-  for (const usize len : lists.len) {
-    if (len == 0) return 0;  // a dimension matched nothing: no combination
+  for (const LabelVec& list : lists) {
+    if (list.empty()) return;  // a dimension matched nothing: no combination
   }
   auto bound_at = [&](usize d, usize i) -> Priority {
-    return lists.bounds[d] != nullptr ? lists.bounds[d][i] : 0;
+    return bounds[d].empty() ? 0 : bounds[d][i];
   };
   // rest[k]: the largest of the smallest bounds of walk levels k and
   // deeper (each list ascends, so its smallest bound is its first).
@@ -623,17 +600,16 @@ u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
 
   std::array<Label, kNumDimensions> combo{};
   std::optional<RuleEntry> best;
-  hw::CycleRecorder checks;  // partial-filter checks, never memoized
   auto walk = [&](auto& self, usize k, Priority acc) -> void {
     const usize d = index_of(kWalk[k]);
-    for (usize i = 0; i < lists.len[d]; ++i) {
+    for (usize i = 0; i < lists[d].size(); ++i) {
       Priority b = std::max(acc, bound_at(d, i));
       // Every rule under this branch has priority >= max(b, rest). Cut
       // only when that is strictly worse than the best hit (an equal
       // priority may still win on the lower rule id); the list ascends,
       // so the rest of it is cut too.
       if (best && std::max(b, rest[k + 1]) > best->priority) return;
-      combo[d] = lists.labels[d][i];
+      combo[d] = lists[d][i];
       if (d == kSrcIpHi) {
         // The 4-label prefix is complete: no rule holds it on a miss;
         // on a hit every rule under it has priority >= the stored
@@ -643,7 +619,7 @@ u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
         const std::optional<PriorityBound> held = partial_filter_->check(
             PartialFilter::key_of(combo[kSport], combo[kDport],
                                   combo[kProto], combo[kSrcIpHi]),
-            &checks);
+            &tail);
         if (!held) continue;
         b = std::max<Priority>(b, *held);
         if (best && std::max(b, rest[k + 1]) > best->priority) continue;
@@ -656,11 +632,8 @@ u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
         throw InternalError("phase-3 combine probe bound exceeded — label "
                             "lists pathologically long");
       }
-      const Key68 key = Key68::merge(combo);
       const std::optional<RuleEntry> hit =
-          memo != nullptr
-              ? rule_filter_->lookup_memo(key, &tail, *memo, out.memo_hits)
-              : rule_filter_->lookup(key, &tail);
+          rule_filter_->lookup(Key68::merge(combo), &tail);
       if (hit && (!best || hit->priority < best->priority ||
                   (hit->priority == best->priority &&
                    hit->rule < best->rule))) {
@@ -670,8 +643,6 @@ u64 ConfigurableClassifier::bounded_combine(const CombineLists& lists,
   };
   walk(walk, 0, 0);
   out.match = best;
-  tail.charge(checks.cycles(), checks.memory_accesses());
-  return checks.cycles();
 }
 
 ClassifyResult ConfigurableClassifier::classify_packet(
@@ -698,411 +669,33 @@ void ConfigurableClassifier::classify_batch(
   if (out.size() < in.size()) {
     throw ConfigError("classify_batch: output span smaller than input");
   }
-  if (in.size() <= 1) {
-    // Single-packet batches have nothing to share; the scalar path is
-    // the phase-2 engine's exact cost model without its scaffolding.
-    // A one-header batch still counts as a scalar-loop batch (untimed,
-    // so it stays out of the cost fit); an empty call counts on no path.
-    if (!in.empty()) {
-      out[0] = classify(in[0]);
-      scratch.controller.observe(BatchPath::kScalarLoop, -1.0, 1, 1);
-    }
-    scratch.last_batch_path = BatchPath::kScalarLoop;
-    scratch.last_batch_distinct = 0;
-    return;
+  // Open-addressed table over the batch's tuples, load factor <= 1/2.
+  // A slot holds 1 + the index of the first header with its tuple;
+  // a duplicate copies that header's result instead of classifying.
+  const usize cap =
+      static_cast<usize>(next_pow2(std::max<u64>(16, u64{in.size()} * 2)));
+  std::vector<u32>& slots = scratch.slots;
+  if (slots.size() < cap) {
+    slots.assign(cap, 0);
+  } else {
+    std::fill_n(slots.begin(), cap, 0);
   }
-
-  // Pick the execution path: forced by policy, or by the per-scratch
-  // controller's cost model evaluated at this batch's (packets,
-  // distinct_keys) point. Every path yields identical verdicts and
-  // per-packet memory accesses, so this only moves host work. The
-  // distinct count is only computed when the controller consumes it —
-  // forced policies skip the fingerprint pass entirely.
-  const bool memo_eligible = cfg_.batch_probe_memo;
-  const bool adaptive = cfg_.batch_path_policy == PathPolicy::kAdaptive;
-  usize distinct = in.size();
-  if (adaptive) {
-    // Streaming distinct count: one pass over the same header
-    // fingerprints the former sort+unique consumed, deduplicated
-    // through an open-addressed presence table (load factor <= 1/2),
-    // so the count is value-identical without the per-batch O(n log n)
-    // sort. A fingerprint of 0 would collide with the empty-slot
-    // sentinel, so it is tracked out-of-band.
-    auto& tab = scratch.distinct_fp;
-    const usize cap =
-        static_cast<usize>(next_pow2(std::max<u64>(16, u64{in.size()} * 2)));
-    if (tab.size() != cap) {
-      tab.assign(cap, 0);
+  const usize mask = cap - 1;
+  usize distinct = 0;
+  for (usize i = 0; i < in.size(); ++i) {
+    usize slot = std::hash<net::FiveTuple>{}(in[i]) & mask;
+    while (slots[slot] != 0 && in[slots[slot] - 1] != in[i]) {
+      slot = (slot + 1) & mask;
+    }
+    if (slots[slot] != 0) {
+      out[i] = out[slots[slot] - 1];
     } else {
-      std::fill(tab.begin(), tab.end(), 0);
-    }
-    const usize mask = cap - 1;
-    bool seen_zero = false;
-    usize count = 0;
-    for (const net::FiveTuple& t : in) {
-      const u64 fp = std::hash<net::FiveTuple>{}(t);
-      if (fp == 0) {
-        count += !seen_zero;
-        seen_zero = true;
-        continue;
-      }
-      usize slot = static_cast<usize>(mix64(fp)) & mask;
-      while (tab[slot] != fp) {
-        if (tab[slot] == 0) {
-          tab[slot] = fp;
-          ++count;
-          break;
-        }
-        slot = (slot + 1) & mask;
-      }
-    }
-    distinct = count;
-  }
-  BatchPath path = BatchPath::kPhase2;
-  switch (cfg_.batch_path_policy) {
-    case PathPolicy::kForceScalarLoop:
-      path = BatchPath::kScalarLoop;
-      break;
-    case PathPolicy::kForcePhase2:
-      path = memo_eligible ? BatchPath::kPhase2Memo : BatchPath::kPhase2;
-      break;
-    case PathPolicy::kAdaptive:
-      path = scratch.controller.choose(memo_eligible, in.size(), distinct);
-      break;
-  }
-
-  // Host timing only when the controller consumes it: forced policies
-  // skip the two clock reads per batch so forced ablation rows carry no
-  // overhead the scalar baseline doesn't (observe() with a negative
-  // cost still keeps the per-path batch counters truthful).
-  std::chrono::steady_clock::time_point t0;
-  if (adaptive) t0 = std::chrono::steady_clock::now();
-  if (path == BatchPath::kScalarLoop) {
-    for (usize i = 0; i < in.size(); ++i) {
+      slots[slot] = static_cast<u32>(i + 1);
       out[i] = classify(in[i]);
-    }
-  } else {
-    classify_batch_phase2(in, out, scratch,
-                          path == BatchPath::kPhase2Memo);
-  }
-  double ns = -1.0;
-  if (adaptive) {
-    ns = std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now() - t0)
-             .count();
-  }
-  scratch.controller.observe(path, ns, in.size(), distinct);
-  scratch.last_batch_path = path;
-  scratch.last_batch_distinct = adaptive ? distinct : 0;
-}
-
-namespace {
-
-/// Linear search of the per-batch list-read memo (distinct refs per
-/// batch are few; a flat scan beats hashing at these sizes).
-BatchScratch::ListReadMemo* find_list_memo(
-    std::vector<BatchScratch::ListReadMemo>& memo, u32 ref_addr) {
-  for (auto& m : memo) {
-    if (m.ref_addr == ref_addr) return &m;
-  }
-  return nullptr;
-}
-
-/// Content hash of one dimension's pooled label list, cached per
-/// distinct (off, len) span per batch (identical spans share a pool
-/// range by construction, so the packed span is a perfect cache key).
-u64 span_content_hash(BatchScratch& s, usize d, alg::LabelSpan sp) {
-  const u64 packed = (u64{sp.off} << 32) | sp.len;
-  for (const BatchScratch::SpanHash& c : s.span_hashes[d]) {
-    if (c.packed == packed) return c.hash;
-  }
-  u64 h = mix64(0x5349474E00000000ULL ^ sp.len);
-  for (u32 k = 0; k < sp.len; ++k) {
-    h = mix64(h ^ s.pools[d][sp.off + k].value);
-  }
-  s.span_hashes[d].push_back({packed, h});
-  return h;
-}
-
-/// Exact content equality of two spans of the same dimension pool (the
-/// collision-proof confirm behind a combine-signature match).
-bool span_content_equal(const std::vector<Label>& pool, alg::LabelSpan a,
-                        alg::LabelSpan b) {
-  if (a.off == b.off && a.len == b.len) return true;
-  if (a.len != b.len) return false;
-  for (u32 k = 0; k < a.len; ++k) {
-    if (pool[a.off + k].value != pool[b.off + k].value) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void ConfigurableClassifier::classify_batch_phase2(
-    std::span<const net::FiveTuple> in, std::span<ClassifyResult> out,
-    BatchScratch& s, bool use_memo) const {
-  const usize n = in.size();
-  for (usize d = 0; d < kNumDimensions; ++d) {
-    s.keys[d].resize(n);
-    s.recs[d].assign(n, hw::CycleRecorder{});
-    s.pools[d].clear();
-    s.bound_pools[d].clear();
-    s.spans[d].assign(n, alg::LabelSpan{});
-    s.span_hashes[d].clear();
-  }
-  for (usize i = 0; i < 4; ++i) {
-    s.ip_refs[i].assign(n, alg::ListRef{});
-    s.list_memo[i].clear();
-  }
-  s.combine_memo.clear();
-
-  // Gather + sort the per-dimension key lanes for the whole batch.
-  for (usize p = 0; p < n; ++p) {
-    for (Dimension d : kAllDimensions) {
-      s.keys[index_of(d)][p] =
-          alg::BatchKey{net::dimension_key(in[p], d) & 0xFFFFu,
-                        static_cast<u32>(p)};
+      ++distinct;
     }
   }
-  for (usize d = 0; d < kNumDimensions; ++d) {
-    alg::sort_batch_keys(s.keys[d]);
-  }
-
-  // Phase 2, batched: each engine resolves its sorted run once.
-  for (usize i = 0; i < 4; ++i) {
-    const usize d = index_of(kIpDims[i]);
-    switch (cfg_.ip_algorithm) {
-      case IpAlgorithm::kMbt:
-        mbt_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-      case IpAlgorithm::kBst:
-        bst_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-      case IpAlgorithm::kRvh:
-        rvh_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-    }
-  }
-  const bool cross = cfg_.combine_mode == CombineMode::kCrossProduct;
-  // FirstLabel needs only each dimension's winner: the first-label
-  // variants skip list materialization and the priority-network sort
-  // (mirroring the scalar path's lookup_first), at identical cost.
-  if (cross) {
-    sport_regs_->lookup_batch_into(s.keys[kSport], s.recs[kSport],
-                                   s.pools[kSport], s.bound_pools[kSport],
-                                   s.spans[kSport]);
-    dport_regs_->lookup_batch_into(s.keys[kDport], s.recs[kDport],
-                                   s.pools[kDport], s.bound_pools[kDport],
-                                   s.spans[kDport]);
-    proto_lut_->lookup_batch_into(s.keys[kProto], s.recs[kProto],
-                                  s.pools[kProto], s.bound_pools[kProto],
-                                  s.spans[kProto]);
-  } else {
-    sport_regs_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kSrcPort)],
-        s.recs[index_of(Dimension::kSrcPort)],
-        s.pools[index_of(Dimension::kSrcPort)],
-        s.spans[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kDstPort)],
-        s.recs[index_of(Dimension::kDstPort)],
-        s.pools[index_of(Dimension::kDstPort)],
-        s.spans[index_of(Dimension::kDstPort)]);
-    proto_lut_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kProtocol)],
-        s.recs[index_of(Dimension::kProtocol)],
-        s.pools[index_of(Dimension::kProtocol)],
-        s.spans[index_of(Dimension::kProtocol)]);
-  }
-  if (cross) {
-    // IP label-list reads, one per distinct ref per batch; every packet
-    // sharing the ref replays the recorded cost (same list, same
-    // walk). Iterating in sorted-key order keeps equal refs adjacent.
-    for (usize i = 0; i < 4; ++i) {
-      const usize d = index_of(kIpDims[i]);
-      for (const alg::BatchKey& lane : s.keys[d]) {
-        const alg::ListRef ref = s.ip_refs[i][lane.slot];
-        BatchScratch::ListReadMemo* m =
-            find_list_memo(s.list_memo[i], ref.addr);
-        if (m == nullptr) {
-          hw::CycleRecorder rc;
-          LabelVec tmp;
-          lists_[i]->read_list_into(ref, &rc, tmp);
-          BatchScratch::ListReadMemo fresh;
-          fresh.ref_addr = ref.addr;
-          fresh.span.off = static_cast<u32>(s.pools[d].size());
-          fresh.span.len = static_cast<u32>(tmp.size());
-          fresh.cycles = rc.cycles();
-          fresh.accesses = rc.memory_accesses();
-          s.pools[d].insert(s.pools[d].end(), tmp.begin(), tmp.end());
-          s.list_memo[i].push_back(fresh);
-          m = &s.list_memo[i].back();
-        }
-        s.recs[d][lane.slot].charge(m->cycles, m->accesses);
-        s.spans[d][lane.slot] = m->span;
-      }
-    }
-  }
-
-  // The combination-probe memo, bound to this device's (id, epoch):
-  // carried over unchanged, cached combinations from earlier batches of
-  // the same program keep serving; any device change (snapshot swap
-  // rotates the worker onto a different replica, or an in-place update
-  // bumped the epoch) drops every entry before a stale verdict could
-  // serve.
-  ProbeMemo* memo = nullptr;
-  if (use_memo) {
-    // Rebuild on any size mismatch — including shrinks: a config asking
-    // for a 16-slot memo must actually get one (the fuzz harness's
-    // set-pressure dimension depends on it), not silently keep the
-    // scratch's larger default.
-    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots)) {
-      s.memo = ProbeMemo(cfg_.batch_memo_slots);
-    }
-    if (s.memo.bind(device_id_, device_epoch_)) ++s.memo_invalidations;
-    memo = &s.memo;
-  }
-
-  // Phases 3 + 4 per packet, combining the batch-shared phase-2 results.
-  for (usize p = 0; p < n; ++p) {
-    ClassifyResult& res = out[p];
-    res = ClassifyResult{};
-    u64 tail_cycles = 0;
-    u64 tail_accesses = 0;
-
-    if (!cross) {
-      hw::CycleRecorder tail;
-      tail.charge(1, 0);  // label merge network
-      // FirstLabel: same control flow (and therefore the same charges)
-      // as the scalar path — ports/proto first, then the IP refs until
-      // the first empty one.
-      std::array<Label, kNumDimensions> first{};
-      for (const Dimension d :
-           {Dimension::kSrcPort, Dimension::kDstPort, Dimension::kProtocol}) {
-        const alg::LabelSpan sp = s.spans[index_of(d)][p];
-        first[index_of(d)] =
-            sp.empty() ? Label{} : s.pools[index_of(d)][sp.off];
-      }
-      bool miss = !first[index_of(Dimension::kSrcPort)].valid() ||
-                  !first[index_of(Dimension::kDstPort)].valid() ||
-                  !first[index_of(Dimension::kProtocol)].valid();
-      for (usize i = 0; i < 4 && !miss; ++i) {
-        const alg::ListRef ref = s.ip_refs[i][p];
-        if (ref.empty()) {
-          miss = true;
-          break;
-        }
-        BatchScratch::ListReadMemo* m =
-            find_list_memo(s.list_memo[i], ref.addr);
-        if (m == nullptr) {
-          hw::CycleRecorder rc;
-          BatchScratch::ListReadMemo fresh;
-          fresh.ref_addr = ref.addr;
-          fresh.first = lists_[i]->read_first(ref, &rc);
-          fresh.cycles = rc.cycles();
-          fresh.accesses = rc.memory_accesses();
-          s.list_memo[i].push_back(fresh);
-          m = &s.list_memo[i].back();
-        }
-        s.recs[index_of(kIpDims[i])][p].charge(m->cycles, m->accesses);
-        first[index_of(kIpDims[i])] = m->first;
-      }
-      if (!miss) {
-        res.crossproduct_probes = 1;
-        const Key68 key = Key68::merge(first);
-        res.match = memo != nullptr
-                        ? rule_filter_->lookup_memo(key, &tail, *memo,
-                                                    res.memo_hits)
-                        : rule_filter_->lookup(key, &tail);
-      }
-      tail_cycles = tail.cycles();
-      tail_accesses = tail.memory_accesses();
-    } else {
-      // Combine-level dedup: packets whose 7 label lists have identical
-      // *contents* run an identical combine — run it once per distinct
-      // list set and replay verdict + tail cost. The signature is a
-      // per-dimension content hash (span identity would under-group:
-      // distinct port keys with identical lists get distinct pool
-      // ranges); a signature match is confirmed by exact comparison
-      // against the leader's spans so a hash collision cannot share.
-      std::array<u64, kNumDimensions> sig;
-      for (usize d = 0; d < kNumDimensions; ++d) {
-        sig[d] = span_content_hash(s, d, s.spans[d][p]);
-      }
-      BatchScratch::CombineMemo* cm = nullptr;
-      for (auto& m : s.combine_memo) {
-        if (m.sig != sig) continue;
-        bool same = true;
-        for (usize d = 0; d < kNumDimensions && same; ++d) {
-          same = span_content_equal(s.pools[d], m.spans[d], s.spans[d][p]);
-        }
-        if (same) {
-          cm = &m;
-          break;
-        }
-      }
-      if (cm == nullptr) {
-        BatchScratch::CombineMemo fresh;
-        fresh.sig = sig;
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          fresh.spans[d] = s.spans[d][p];
-        }
-        hw::CycleRecorder tail;
-        tail.charge(1, 0);  // label merge network
-        CombineLists lists;
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          const alg::LabelSpan sp = s.spans[d][p];
-          lists.labels[d] = s.pools[d].data() + sp.off;
-          lists.len[d] = sp.len;
-        }
-        for (const usize d : kBoundedDims) {
-          lists.bounds[d] = s.bound_pools[d].data() + s.spans[d][p].off;
-        }
-        ClassifyResult combined;
-        fresh.filter_cycles = bounded_combine(lists, tail, memo, combined);
-        fresh.match = combined.match;
-        fresh.probes = combined.crossproduct_probes;
-        fresh.memo_hits = combined.memo_hits;
-        fresh.filter_checks = combined.filter_checks;
-        fresh.tail_cycles = tail.cycles();
-        fresh.tail_accesses = tail.memory_accesses();
-        s.combine_memo.push_back(fresh);
-        cm = &s.combine_memo.back();
-        res.match = cm->match;
-        res.crossproduct_probes = cm->probes;
-        res.memo_hits = cm->memo_hits;
-        res.filter_checks = cm->filter_checks;
-        tail_cycles = cm->tail_cycles;
-        tail_accesses = cm->tail_accesses;
-      } else {
-        // Repeat list set. With the combination memo active, every
-        // probe of this packet was just cached by its leader: each is
-        // served in one cycle, still charging the replaced probe's
-        // reads; the filter checks are charged in full. With the memo
-        // off (nothing was cached), replay the leader's full tail —
-        // cycle-exact with the scalar path.
-        res.match = cm->match;
-        res.crossproduct_probes = cm->probes;
-        res.filter_checks = cm->filter_checks;
-        if (memo != nullptr) {
-          res.memo_hits = cm->probes;
-          tail_cycles = 1 + cm->probes + cm->filter_cycles;
-        } else {
-          res.memo_hits = 0;
-          tail_cycles = cm->tail_cycles;
-        }
-        tail_accesses = cm->tail_accesses;
-      }
-    }
-
-    u64 phase2_cycles = 0;
-    for (usize d = 0; d < kNumDimensions; ++d) {
-      phase2_cycles = std::max(phase2_cycles, s.recs[d][p].cycles());
-      res.memory_accesses += s.recs[d][p].memory_accesses();
-    }
-    res.cycles = 1 /*split*/ + phase2_cycles + tail_cycles;
-    res.memory_accesses += tail_accesses;
-  }
+  scratch.distinct = distinct;
 }
 
 std::vector<ruleset::Rule> ConfigurableClassifier::installed_rules() const {

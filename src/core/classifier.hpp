@@ -30,7 +30,6 @@
 #include "alg/port_registers.hpp"
 #include "alg/protocol_lut.hpp"
 #include "core/config.hpp"
-#include "core/path_controller.hpp"
 #include "core/rule_filter.hpp"
 #include "hwsim/pipeline.hpp"
 #include "hwsim/shared_memory.hpp"
@@ -43,19 +42,14 @@ namespace pclass::core {
 
 /// Outcome and measured cost of classifying one header.
 ///
-/// Cycle-charging contract (what every lookup entry point guarantees,
-/// and what the phase-2 batch path must preserve):
+/// Cycle-charging contract (what every lookup entry point guarantees):
 ///   cycles = 1 (header split) + max over the 7 dimension recorders
 ///            (phase 2 runs in parallel; the phase costs the slowest
 ///            engine) + the tail recorder (label merge + every
 ///            partial-filter check and Rule Filter probe, serial);
 ///   memory_accesses = the *sum* of all recorders' block-memory reads.
-/// The batch engine replays, per packet, exactly the charges the scalar
-/// path would make; the probe memo may lower `cycles` (a hit costs one
-/// cycle instead of hash + probe walk) but never changes
-/// `memory_accesses`, `crossproduct_probes` or `filter_checks` (a
-/// memoized probe still charges the reads it replaces — see
-/// core::ProbeMemo; filter checks are never memoized).
+/// classify_batch() returns, per packet, exactly the result classify()
+/// returns for that header, field for field.
 struct ClassifyResult {
   /// The matched rule (HPMR under CrossProduct; under FirstLabel, the
   /// rule owning the first-label combination, when present).
@@ -65,9 +59,6 @@ struct ClassifyResult {
   /// Rule Filter probes issued in phase 3 (label combinations the
   /// bounded combine did not cut).
   u64 crossproduct_probes = 0;
-  /// Probes served by the snapshot-keyed combination memo (0 on the
-  /// scalar path; each hit is also counted in crossproduct_probes).
-  u64 memo_hits = 0;
   /// Partial-combination filter checks issued in phase 3 (one per
   /// src_ip_hi label the bounded combine reached; not Rule Filter
   /// probes).
@@ -89,105 +80,30 @@ struct MemoryReport {
   u64 register_bits = 0;
 };
 
-/// Reusable scratch of the phase-2 batch engine: per-dimension key
-/// lanes, per-packet recorders, batch-shared label pools and the
-/// combination-probe memo. Callers that classify batches continuously
-/// (one dataplane worker = one scratch) reuse it so the steady-state
-/// batch path performs no heap allocation; the convenience
+/// Reusable scratch of classify_batch(): the open-addressed table that
+/// dedups a batch by exact 5-tuple. Callers that classify batches
+/// continuously (one dataplane worker = one scratch) reuse it so the
+/// steady-state batch path performs no heap allocation; the convenience
 /// classify_batch(in, out) overload creates a throwaway one.
 struct BatchScratch {
-  std::array<std::vector<alg::BatchKey>, kNumDimensions> keys;
-  std::array<std::vector<hw::CycleRecorder>, kNumDimensions> recs;
-  std::array<std::vector<Label>, kNumDimensions> pools;
-  /// Priority bounds of the port and protocol pools, at the same
-  /// offsets (the IP dimensions carry none).
-  std::array<std::vector<PriorityBound>, kNumDimensions> bound_pools;
-  std::array<std::vector<alg::LabelSpan>, kNumDimensions> spans;
-  std::array<std::vector<alg::ListRef>, 4> ip_refs;
-
-  /// One label-list read per distinct ListRef per batch: the cached
-  /// pool range, the first label (FirstLabel mode) and the modeled cost
-  /// to replay for every packet sharing the ref.
-  struct ListReadMemo {
-    u32 ref_addr = 0;
-    alg::LabelSpan span{};
-    Label first{};
-    u64 cycles = 0;
-    u64 accesses = 0;
-  };
-  std::array<std::vector<ListReadMemo>, 4> list_memo;
-
-  /// One phase-3 combine per distinct label-list *set* per batch:
-  /// packets whose 7 label lists have identical contents (duplicate
-  /// flows; distinct keys whose matching ranges coincide — e.g. two
-  /// dports falling only into the same wildcard range; fw-like sets
-  /// where wildcard labels dominate every list) share one combine run
-  /// and replay its verdict and modeled tail cost (equal labels carry
-  /// equal bounds, so the runs would be identical). The signature is a
-  /// per-dimension *content hash* of the pooled list (span identity
-  /// under-groups: two distinct port keys with identical lists get
-  /// distinct pool ranges); the leader's spans are kept so a signature
-  /// match is confirmed by exact content comparison before sharing —
-  /// a hash collision can never corrupt a verdict. With the probe memo
-  /// on, a repeat packet's probes are modeled as memo hits (one cycle +
-  /// the replaced probe's reads each); with it off the leader's full
-  /// tail is replayed, keeping cycles scalar-exact. Filter checks are
-  /// never memoized: a repeat packet pays their full cycles either way.
-  struct CombineMemo {
-    std::array<u64, kNumDimensions> sig{};
-    std::array<alg::LabelSpan, kNumDimensions> spans{};
-    std::optional<RuleEntry> match;
-    u64 probes = 0;
-    u64 memo_hits = 0;
-    u64 filter_checks = 0;
-    u64 filter_cycles = 0;
-    u64 tail_cycles = 0;
-    u64 tail_accesses = 0;
-  };
-  std::vector<CombineMemo> combine_memo;
-
-  /// Per-batch cache of span content hashes: one hash computation per
-  /// distinct (off, len) span per dimension per batch (identical spans
-  /// trivially share; the pools are rebuilt every batch, so this is
-  /// cleared with them).
-  struct SpanHash {
-    u64 packed = 0;  ///< (off << 32) | len
-    u64 hash = 0;
-  };
-  std::array<std::vector<SpanHash>, kNumDimensions> span_hashes;
-
-  /// The snapshot-keyed combination-probe memo (see ProbeMemo's
-  /// lifetime contract): persists across batches, invalidated when the
-  /// device binding changes — never reset at a batch boundary.
-  ProbeMemo memo{ProbeMemo::kDefaultSlots};
-  /// Times the memo dropped its entries (initial bind, snapshot swap or
-  /// in-place update); surfaced per dataplane worker as
-  /// probe_memo_invalidations.
-  u64 memo_invalidations = 0;
-
-  /// The online path controller (PathPolicy::kAdaptive): a per-path
-  /// linear cost model ns = a*packets + b*distinct_keys fitted from
-  /// measured host time, argmin-picked per batch at the batch's own
-  /// (packets, distinct) point. Replaces the hand-tuned 2%/5%
-  /// window-threshold bypass gates of earlier revisions. Also the
-  /// authoritative per-path batch counters (forced policies count here
-  /// too).
-  PathController controller;
-  /// Open-addressed presence table for the controller's streaming
-  /// distinct-header count (slot = mix64 of the header fingerprint; 0 is
-  /// the empty sentinel, a fingerprint of 0 is tracked out-of-band).
-  /// Reused across batches so the count allocates nothing in steady
-  /// state and replaces the former per-batch fingerprint sort.
-  std::vector<u64> distinct_fp;
-
-  /// Telemetry taps, written by every classify_batch() call: the
-  /// execution path that served the last batch and the distinct-header
-  /// count the controller consumed for it (0 when the count was
-  /// skipped — forced policies and one-header batches never pay the
-  /// fingerprint sort, and telemetry must not reintroduce it).
-  BatchPath last_batch_path = BatchPath::kScalarLoop;
-  usize last_batch_distinct = 0;
+  /// Slot -> 1 + the batch index of the first header carrying the
+  /// slot's tuple (0 = empty). A batch of n headers uses the first
+  /// next_pow2(max(16, 2n)) slots; the vector grows to that and never
+  /// shrinks.
+  std::vector<u32> slots;
+  /// Distinct tuples in the last batch (the trace event's
+  /// distinct_keys).
+  usize distinct = 0;
 };
+
+/// Compatibility shim for the repository benchmark, which still reports
+/// the per-batch path share (`core.classifier.path_share.scalar_loop`,
+/// `.phase2`, `.phase2_memo`) and `core.classifier.memo_hits_per_lookup`.
+/// There is one batch path now: every non-empty batch counts under
+/// kScalarLoop and the other two stay 0. The shim goes when the
+/// benchmark retires those four metrics.
+enum class BatchPath : u8 { kScalarLoop, kPhase2, kPhase2Memo };
+inline constexpr usize kNumBatchPaths = 3;
 
 /// The configurable classification device plus its controller shadow.
 class ConfigurableClassifier {
@@ -227,15 +143,6 @@ class ConfigurableClassifier {
   /// Phase-3 policy (software decision; free).
   void set_combine_mode(CombineMode mode) { cfg_.combine_mode = mode; }
 
-  /// Toggle combination-probe memo eligibility (phase-2 only; free).
-  void set_batch_probe_memo(bool on) { cfg_.batch_probe_memo = on; }
-
-  /// Per-batch execution-path policy (adaptive controller vs forced
-  /// path; software decision, free).
-  void set_batch_path_policy(PathPolicy policy) {
-    cfg_.batch_path_policy = policy;
-  }
-
   // ---- data-plane API (lookup path) ----
 
   /// Classify a parsed 5-tuple. Charges per the ClassifyResult
@@ -251,13 +158,10 @@ class ConfigurableClassifier {
   /// This is the entry point the dataplane engine drives per worker
   /// batch; `out.size()` must be >= `in.size()`.
   ///
-  /// This is a true batch engine: per-dimension keys are gathered and
-  /// sorted across the whole span, each engine resolves one sorted run
-  /// per batch (shared trie levels and duplicate keys are walked once on
-  /// the host), and the combiner memoizes repeated label combinations. Results and
-  /// per-packet memory_accesses are *identical* to the scalar path
-  /// (asserted by tests/test_batch_phase2.cpp); per-packet cycles are
-  /// identical with the probe memo off and <= with it on.
+  /// The batch is deduplicated by exact 5-tuple: classify() runs once
+  /// per distinct tuple and every duplicate receives a copy of that
+  /// result, so out[i] equals classify(in[i]) field for field.
+  /// \throws ConfigError when `out` is shorter than `in`.
   ///
   /// Thread-safe against other concurrent const lookups (the update
   /// path is not — the dataplane publishes immutable snapshots instead).
@@ -273,12 +177,6 @@ class ConfigurableClassifier {
   // ---- introspection ----
 
   [[nodiscard]] const ClassifierConfig& config() const { return cfg_; }
-
-  /// Update epoch of this device: bumped by every update-path mutation
-  /// (rule add/remove/modify, algorithm switch, reseed). Together with
-  /// the process-unique device id this is what a persistent ProbeMemo
-  /// binds cached verdicts to — see ProbeMemo::bind().
-  [[nodiscard]] u64 device_epoch() const { return device_epoch_; }
 
   [[nodiscard]] IpAlgorithm ip_algorithm() const { return cfg_.ip_algorithm; }
   [[nodiscard]] CombineMode combine_mode() const { return cfg_.combine_mode; }
@@ -394,33 +292,19 @@ class ConfigurableClassifier {
   [[nodiscard]] alg::ListRef ip_lookup(usize ip_dim_index, u16 key,
                                        hw::CycleRecorder* rec) const;
 
-  /// The batch engine behind classify_batch(). \p use_memo
-  /// engages the combination-probe memo (the path controller or a
-  /// forced policy already folded eligibility in).
-  void classify_batch_phase2(std::span<const net::FiveTuple> in,
-                             std::span<ClassifyResult> out,
-                             BatchScratch& scratch, bool use_memo) const;
-
-  /// Phase-3 input of one lookup: the seven label lists, indexed by
-  /// dimension. Port and protocol lists come in ascending-bound order
-  /// with their bounds; the IP lists have none (nullptr).
-  struct CombineLists {
-    std::array<const Label*, kNumDimensions> labels{};
-    std::array<const PriorityBound*, kNumDimensions> bounds{};
-    std::array<usize, kNumDimensions> len{};
-  };
-
-  /// The exact phase-3 combine shared by classify() and the batch
-  /// engine: walks the label combinations depth-first (port and
-  /// protocol dimensions outermost), checks the partial-combination
-  /// filter once a src_ip_hi label is chosen, and cuts every branch
-  /// that no rule holds or whose bound is strictly worse than the best
-  /// hit so far. Probes go through \p memo when non-null; filter checks
-  /// never do. Sets out.match, out.crossproduct_probes, out.memo_hits
-  /// and out.filter_checks, charges probes and checks to \p tail, and
-  /// returns the cycles the checks took.
-  u64 bounded_combine(const CombineLists& lists, hw::CycleRecorder& tail,
-                      ProbeMemo* memo, ClassifyResult& out) const;
+  /// The exact phase-3 combine of classify() over the seven label
+  /// lists, indexed by dimension. The port and protocol lists come in
+  /// ascending-bound order with their bounds in \p bounds; the IP
+  /// dimensions carry no bounds (empty). Walks the label combinations
+  /// depth-first (port and protocol dimensions outermost), checks the
+  /// partial-combination filter once a src_ip_hi label is chosen, and
+  /// cuts every branch that no rule holds or whose bound is strictly
+  /// worse than the best hit so far. Sets out.match,
+  /// out.crossproduct_probes and out.filter_checks, and charges probes
+  /// and checks to \p tail.
+  void bounded_combine(const std::array<LabelVec, kNumDimensions>& lists,
+                       const std::array<BoundVec, kNumDimensions>& bounds,
+                       hw::CycleRecorder& tail, ClassifyResult& out) const;
 
   void rebuild_active_ip_engines(hw::CommandLog& log);
 
@@ -433,11 +317,6 @@ class ConfigurableClassifier {
                hw::CommandLog& log, BulkStage* bulk);
 
   ClassifierConfig cfg_;
-  /// Process-unique device id (from a global counter, so a destroyed
-  /// classifier's id is never reused the way its address could be) and
-  /// the update epoch — the persistent ProbeMemo's binding key.
-  u64 device_id_;
-  u64 device_epoch_ = 0;
 
   // Controller-side label bookkeeping.
   std::array<alg::LabelTable<ruleset::SegmentPrefix>, 4> ip_tables_;

@@ -142,11 +142,11 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
   res_.assign(keys_.size(), core::ClassifyResult{});
   snap->classifier().classify_batch(keys_, res_, scratch_);
   lookups_ += keys_.size();
+  batches_ += keys_.empty() ? 0 : 1;
 
   for (usize k = 0; k < slots_.size(); ++k) {
     net::PacketMeta& m = batch.meta(slots_[k]);
     const core::ClassifyResult& r = res_[k];
-    memo_hits_ += r.memo_hits;
     m.resolved = true;
     m.lookup_cycles += r.cycles;
     m.memory_accesses += r.memory_accesses;
@@ -193,20 +193,6 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
   // Mirror the running totals (totals, not deltas: the sampler's
   // interval differences then sum exactly to the end-of-run report).
   telemetry::counter_store(live.classifier_lookups, lookups_);
-  telemetry::counter_store(live.probe_memo_hits, memo_hits_);
-  telemetry::counter_store(live.probe_memo_invalidations,
-                           scratch_.memo_invalidations);
-  const u64 conflicts = scratch_.memo.conflict_evictions();
-  telemetry::counter_store(live.probe_memo_conflict_evictions, conflicts);
-  telemetry::counter_store(
-      live.path_scalar_loop_batches,
-      scratch_.controller.batches(core::BatchPath::kScalarLoop));
-  telemetry::counter_store(
-      live.path_phase2_batches,
-      scratch_.controller.batches(core::BatchPath::kPhase2));
-  telemetry::counter_store(
-      live.path_phase2_memo_batches,
-      scratch_.controller.batches(core::BatchPath::kPhase2Memo));
   telemetry::counter_store(live.snapshot_version, version);
 
   // One span event per batch into the SPSC ring.
@@ -216,14 +202,9 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
   ev.worker = tel_->worker;
   ev.packets = static_cast<u32>(batch.size());
   ev.lookups = static_cast<u32>(keys_.size());
-  ev.distinct_keys = static_cast<u32>(scratch_.last_batch_distinct);
-  ev.path = scratch_.last_batch_path;
-  ev.memo_hits = static_cast<u32>(memo_hits_ - last_memo_hits_);
-  ev.memo_conflicts = static_cast<u32>(conflicts - last_memo_conflicts_);
+  ev.distinct_keys = static_cast<u32>(scratch_.distinct);
   ev.snapshot_version = version;
   tel_->ring.push(ev);
-  last_memo_hits_ = memo_hits_;
-  last_memo_conflicts_ = conflicts;
 }
 
 // ---- ActionSink -----------------------------------------------------------

@@ -190,14 +190,9 @@ class FlowCacheElement : public Element {
 
 /// Phases 2-4: acquire the current RuleProgram (one atomic load per
 /// batch), feed every unresolved packet through the classifier's batch
-/// entry point in one call (the sorted-key batch engine or the
-/// scalar loop, as the path policy picks; the element owns the reusable BatchScratch,
-/// so steady-state batches allocate nothing *and* the scratch's
-/// snapshot-keyed probe memo and EWMA path controller persist across
-/// this worker's batches — hits compound while the published program
-/// stays put, and every publisher swap rotates the worker onto a
-/// different replica, which the memo's device binding detects and
-/// invalidates on), and stamp the batch with the snapshot version.
+/// entry point in one call (which classifies each distinct 5-tuple once;
+/// the element owns the reusable BatchScratch, so steady-state batches
+/// allocate nothing), and stamp the batch with the snapshot version.
 class ClassifierElement : public Element {
  public:
   explicit ClassifierElement(const RuleProgramPublisher* programs,
@@ -208,31 +203,15 @@ class ClassifierElement : public Element {
 
   void push_batch(net::PacketBatch& batch) override;
 
+  /// Headers handed to the classifier (the flow-cache misses), counting
+  /// duplicates within a batch.
   [[nodiscard]] u64 lookups() const { return lookups_; }
-  /// Rule Filter probes served by the combination memo.
-  [[nodiscard]] u64 probe_memo_hits() const { return memo_hits_; }
-  /// Times the persistent memo dropped its entries (initial bind +
-  /// one per snapshot swap this worker classified across).
-  [[nodiscard]] u64 probe_memo_invalidations() const {
-    return scratch_.memo_invalidations;
-  }
-  /// Memo replacements that evicted a live entry of another key (the
-  /// associativity A/B observable).
-  [[nodiscard]] u64 probe_memo_conflict_evictions() const {
-    return scratch_.memo.conflict_evictions();
-  }
-  /// Batches this worker served via each execution path (the
-  /// controller's choices, or the forced policy's).
+  /// Benchmark shim (see core::BatchPath): always 0.
+  [[nodiscard]] u64 probe_memo_hits() const { return 0; }
+  /// Benchmark shim (see core::BatchPath): every non-empty batch counts
+  /// under kScalarLoop.
   [[nodiscard]] u64 path_batches(core::BatchPath p) const {
-    return scratch_.controller.batches(p);
-  }
-  /// The controller's fitted cost model for \p p (zeros under forced
-  /// policies: no timed observations).
-  [[nodiscard]] core::PathCostModel controller_model(core::BatchPath p) const {
-    return scratch_.controller.cost_model(p);
-  }
-  [[nodiscard]] u64 controller_observations(core::BatchPath p) const {
-    return scratch_.controller.observations(p);
+    return p == core::BatchPath::kScalarLoop ? batches_ : 0;
   }
   /// Lowest/highest snapshot version observed; both 0 when the worker
   /// never processed a batch (the sentinel must not leak into reports).
@@ -256,11 +235,9 @@ class ClassifierElement : public Element {
   std::vector<net::FiveTuple> keys_;       // scratch, reused per batch
   std::vector<core::ClassifyResult> res_;  // scratch, reused per batch
   std::vector<usize> slots_;               // scratch, reused per batch
-  core::BatchScratch scratch_;             // phase-2 engine scratch
+  core::BatchScratch scratch_;             // dedup table, reused per batch
   u64 lookups_ = 0;
-  u64 memo_hits_ = 0;
-  u64 last_memo_hits_ = 0;       // per-batch delta base for the ring event
-  u64 last_memo_conflicts_ = 0;  // per-batch delta base for the ring event
+  u64 batches_ = 0;  // non-empty batches handed to the classifier
   u64 min_version_ = std::numeric_limits<u64>::max();
   u64 max_version_ = 0;
   bool monotonic_ = true;

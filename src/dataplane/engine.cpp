@@ -605,21 +605,6 @@ WorkerReport Engine::shard_report(const Shard& s) const {
   r.cache_hits = s.sink->cache_hits();
   r.classifier_lookups = s.classifier->lookups();
   r.memory_accesses = s.sink->memory_accesses();
-  r.probe_memo_hits = s.classifier->probe_memo_hits();
-  r.probe_memo_invalidations = s.classifier->probe_memo_invalidations();
-  r.probe_memo_conflict_evictions =
-      s.classifier->probe_memo_conflict_evictions();
-  r.path_scalar_loop_batches =
-      s.classifier->path_batches(core::BatchPath::kScalarLoop);
-  r.path_phase2_batches =
-      s.classifier->path_batches(core::BatchPath::kPhase2);
-  r.path_phase2_memo_batches =
-      s.classifier->path_batches(core::BatchPath::kPhase2Memo);
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    const auto path = static_cast<core::BatchPath>(p);
-    r.controller_models[p] = s.classifier->controller_model(path);
-    r.controller_observations[p] = s.classifier->controller_observations(path);
-  }
   r.cache_misses = s.cache == nullptr ? 0 : s.cache->stats().misses;
   r.min_version = s.classifier->min_version();
   r.max_version = s.classifier->max_version();
@@ -644,7 +629,6 @@ WorkerReport Engine::merge_shard_reports(
     usize worker, const std::vector<const WorkerReport*>& rows) {
   WorkerReport m;
   m.worker = worker;
-  std::array<usize, core::kNumBatchPaths> fitted{};
   bool first_version = true;
   for (const WorkerReport* row : rows) {
     const WorkerReport& r = *row;
@@ -657,21 +641,6 @@ WorkerReport Engine::merge_shard_reports(
     m.cache_misses += r.cache_misses;
     m.classifier_lookups += r.classifier_lookups;
     m.memory_accesses += r.memory_accesses;
-    m.probe_memo_hits += r.probe_memo_hits;
-    m.probe_memo_invalidations += r.probe_memo_invalidations;
-    m.probe_memo_conflict_evictions += r.probe_memo_conflict_evictions;
-    m.path_scalar_loop_batches += r.path_scalar_loop_batches;
-    m.path_phase2_batches += r.path_phase2_batches;
-    m.path_phase2_memo_batches += r.path_phase2_memo_batches;
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      m.controller_observations[p] += r.controller_observations[p];
-      if (r.controller_observations[p] == 0) continue;
-      m.controller_models[p].ns_per_packet +=
-          r.controller_models[p].ns_per_packet;
-      m.controller_models[p].ns_per_distinct_key +=
-          r.controller_models[p].ns_per_distinct_key;
-      ++fitted[p];
-    }
     if (r.packets > 0 || r.max_version > 0 || r.min_version > 0) {
       m.min_version = first_version ? r.min_version
                                     : std::min(m.min_version, r.min_version);
@@ -687,14 +656,6 @@ WorkerReport Engine::merge_shard_reports(
     m.latency.merge(r.latency);
     m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
     if (m.error.empty()) m.error = r.error;
-  }
-  // Cost-model coefficients are per-shard fits, not additive: average
-  // over the shards that produced timed observations.
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    if (fitted[p] == 0) continue;
-    m.controller_models[p].ns_per_packet /= static_cast<double>(fitted[p]);
-    m.controller_models[p].ns_per_distinct_key /=
-        static_cast<double>(fitted[p]);
   }
   return m;
 }

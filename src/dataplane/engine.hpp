@@ -142,9 +142,8 @@ struct EngineConfig {
   /// RSS-style sharding (0 = unsharded: the legacy geometry where every
   /// worker thread drains the shared pool). With shards = S > 0 the
   /// engine builds S shards — each owning its classifier subscription,
-  /// flow cache, probe memo, path controller, batch scratch and
-  /// telemetry block — pinned shard s -> worker thread s % workers
-  /// (workers is clamped to S).
+  /// flow cache, batch scratch and telemetry block — pinned shard s ->
+  /// worker thread s % workers (workers is clamped to S).
   /// Each shard drains its steered slice of the pool against the full
   /// ruleset (a replica).
   usize shards = 0;
@@ -235,9 +234,9 @@ class Engine {
 
  private:
   /// One pipeline's worth of state. The shard is the unit of ownership:
-  /// classifier subscription, flow cache, scratch (probe memo + path
-  /// controller), telemetry block and (when capturing) the verdict log
-  /// all live here, on the shard's own allocations. Unsharded engines
+  /// classifier subscription, flow cache, batch scratch, telemetry block
+  /// and (when capturing) the verdict log all live here, on the shard's
+  /// own allocations. Unsharded engines
   /// are the degenerate geometry of one shard per worker over a shared
   /// pool.
   struct Shard {

@@ -6,8 +6,8 @@
 /// analogue here steers each entry of a TrafficPool to a per-shard pool
 /// before the workers start, so every shard sees a disjoint, per-flow
 /// consistent slice of the traffic (all packets of one flow land on the
-/// same shard — the invariant the per-shard flow caches and probe memos
-/// rely on for locality).
+/// same shard — the invariant the per-shard flow caches rely on for
+/// locality).
 ///
 /// Every shard holds the full ruleset (a replica), so steering only buys
 /// cache locality and verdicts are trivially identical to the unsharded

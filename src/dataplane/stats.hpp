@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/path_controller.hpp"
 #include "net/five_tuple.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/trace_ring.hpp"
@@ -40,8 +39,7 @@ struct CapturedVerdict {
 /// device cycles): four sub-buckets per power of two (HDR-histogram
 /// style, 2 mantissa bits), so percentiles resolve to within ~12.5%
 /// instead of the 2x a pure log2 bucketing gives — fine enough that a
-/// 25% p99 shift (e.g. the batch engine's probe memo on fw-like sets)
-/// is visible in the scenario reports. Constant memory, O(1) record.
+/// 25% p99 shift is visible in the scenario reports. Constant memory, O(1) record.
 class LatencyHistogram {
  public:
   static constexpr usize kBuckets = 256;
@@ -158,24 +156,6 @@ struct WorkerReport {
   u64 cache_misses = 0;
   u64 classifier_lookups = 0;  ///< full 4-phase lookups (cache misses)
   u64 memory_accesses = 0;     ///< modelled block-memory reads (per-worker)
-  u64 probe_memo_hits = 0;     ///< combiner probes served by the memo
-  /// Times the persistent probe memo dropped its entries (initial bind
-  /// plus one per snapshot swap this worker classified across).
-  u64 probe_memo_invalidations = 0;
-  /// Memo replacements that overwrote a live entry of another key — the
-  /// conflict misses the 2-way geometry exists to reduce.
-  u64 probe_memo_conflict_evictions = 0;
-  /// Batches served via each phase-2 execution path (the per-worker
-  /// controller's choices; forced policies count here too).
-  u64 path_scalar_loop_batches = 0;
-  u64 path_phase2_batches = 0;
-  u64 path_phase2_memo_batches = 0;
-  /// The controller's fitted per-path cost model
-  /// (ns = a*packets + b*distinct_keys), indexed by core::BatchPath,
-  /// plus the timed observation count behind each fit (0 under forced
-  /// policies, which skip the clock — the models stay zero there).
-  std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
-  std::array<u64, core::kNumBatchPaths> controller_observations{};
   u64 min_version = 0;   ///< lowest rule-program version observed
   u64 max_version = 0;   ///< highest rule-program version observed
   bool version_monotonic = true;  ///< versions never went backwards

@@ -20,12 +20,10 @@ hw::UpdateStats apply_message(core::ConfigurableClassifier& clf,
     }
     return {};
   }
-  // ConfigMod: apply every knob present. Only the IP-algorithm switch
-  // touches device memories (a rebuild, costed); the batch-path knobs
-  // steer host-side execution strategy and are free by the cost model.
+  // ConfigMod: the IP-algorithm switch touches device memories (a
+  // rebuild, costed).
   const auto& cm = std::get<ConfigMod>(msg);
   hw::UpdateStats cost;
-  if (cm.path_policy) clf.set_batch_path_policy(*cm.path_policy);
   if (cm.ip_algorithm) {
     cost += clf.set_ip_algorithm(*cm.ip_algorithm);
   }

@@ -68,9 +68,6 @@ void write_chrome_trace(std::ostream& os,
       j.key("packets").value(e.packets);
       j.key("lookups").value(e.lookups);
       j.key("distinct_keys").value(e.distinct_keys);
-      j.key("path").value(std::string(core::to_string(e.path)));
-      j.key("memo_hits").value(e.memo_hits);
-      j.key("memo_conflicts").value(e.memo_conflicts);
       j.key("snapshot_version").value(e.snapshot_version);
       j.end_object();
       j.end_object();

@@ -66,12 +66,6 @@ struct WorkerLive {
   std::atomic<u64> cache_misses{0};
   std::atomic<u64> classifier_lookups{0};
   std::atomic<u64> memory_accesses{0};
-  std::atomic<u64> probe_memo_hits{0};
-  std::atomic<u64> probe_memo_invalidations{0};
-  std::atomic<u64> probe_memo_conflict_evictions{0};
-  std::atomic<u64> path_scalar_loop_batches{0};
-  std::atomic<u64> path_phase2_batches{0};
-  std::atomic<u64> path_phase2_memo_batches{0};
   /// Latest rule-program version this worker classified against
   /// (0 until the first batch).
   std::atomic<u64> snapshot_version{0};
@@ -94,7 +88,6 @@ struct LiveSnapshot {
   u64 cache_hits = 0;
   u64 classifier_lookups = 0;
   u64 memory_accesses = 0;
-  u64 probe_memo_hits = 0;
   u64 update_visibility_samples = 0;
   u64 update_visibility_total_ns = 0;
   u64 min_version = 0;  ///< lowest nonzero snapshot_version (0 = none)
@@ -108,7 +101,6 @@ struct LiveSnapshot {
     cache_hits += counter_load(w.cache_hits);
     classifier_lookups += counter_load(w.classifier_lookups);
     memory_accesses += counter_load(w.memory_accesses);
-    probe_memo_hits += counter_load(w.probe_memo_hits);
     update_visibility_samples += counter_load(w.update_visibility_samples);
     update_visibility_total_ns += counter_load(w.update_visibility_total_ns);
     const u64 v = counter_load(w.snapshot_version);

@@ -18,7 +18,6 @@ struct StatsSample {
   u64 batches = 0;
   u64 cache_hits = 0;
   u64 classifier_lookups = 0;
-  u64 probe_memo_hits = 0;
   u64 memory_accesses = 0;
   double mpps = 0;  ///< instantaneous packets/interval in Mpps
   /// Interval latency percentiles (modelled lookup cycles), computed

@@ -140,7 +140,6 @@ void StatsSampler::tick() {
     s.batches = cur.batches - prev_.batches;
     s.cache_hits = cur.cache_hits - prev_.cache_hits;
     s.classifier_lookups = cur.classifier_lookups - prev_.classifier_lookups;
-    s.probe_memo_hits = cur.probe_memo_hits - prev_.probe_memo_hits;
     s.memory_accesses = cur.memory_accesses - prev_.memory_accesses;
     s.mpps = s.interval_ns == 0
                  ? 0.0
@@ -176,7 +175,7 @@ void StatsSampler::tick() {
     // memory_accesses, so a tick between the two stores leaves the
     // next row with only a memory_accesses delta.
     active = s.packets != 0 || s.batches != 0 || s.cache_hits != 0 ||
-             s.classifier_lookups != 0 || s.probe_memo_hits != 0 ||
+             s.classifier_lookups != 0 ||
              s.memory_accesses != 0 || delta_count != 0 ||
              s.update_visibility_samples != 0;
     if (active) {

@@ -83,40 +83,17 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
   r.max_cycles = lat.max();
   u64 hits = 0, misses = 0, min_v = 0, max_v = 0;
   bool first = true;
-  std::array<usize, core::kNumBatchPaths> fitted_workers{};
   for (const auto& w : rep.workers) {
     hits += w.cache_hits;
     misses += w.cache_misses;
+    r.classifier_lookups += w.classifier_lookups;
     r.memory_accesses += w.memory_accesses;
-    r.probe_memo_hits += w.probe_memo_hits;
-    r.probe_memo_invalidations += w.probe_memo_invalidations;
-    r.probe_memo_conflict_evictions += w.probe_memo_conflict_evictions;
-    r.path_scalar_loop_batches += w.path_scalar_loop_batches;
-    r.path_phase2_batches += w.path_phase2_batches;
-    r.path_phase2_memo_batches += w.path_phase2_memo_batches;
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      if (w.controller_observations[p] == 0) continue;
-      r.controller_models[p].ns_per_packet +=
-          w.controller_models[p].ns_per_packet;
-      r.controller_models[p].ns_per_distinct_key +=
-          w.controller_models[p].ns_per_distinct_key;
-      ++fitted_workers[p];
-    }
     if (w.max_version == 0 && w.min_version == 0 && w.packets == 0) {
       continue;  // idle worker: no versions observed
     }
     min_v = first ? w.min_version : std::min(min_v, w.min_version);
     max_v = std::max(max_v, w.max_version);
     first = false;
-  }
-  // Coefficients are per-worker fits, not additive: average over the
-  // workers that actually produced one.
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    if (fitted_workers[p] == 0) continue;
-    r.controller_models[p].ns_per_packet /=
-        static_cast<double>(fitted_workers[p]);
-    r.controller_models[p].ns_per_distinct_key /=
-        static_cast<double>(fitted_workers[p]);
   }
   r.cache_hit_rate =
       hits + misses == 0
@@ -206,7 +183,6 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
       core::ClassifierConfig::for_scale(rules.size() + extra_headroom);
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact lookups
   cfg.ip_algorithm = opts.ip_algorithm;
-  cfg.batch_path_policy = opts.path_policy;
   return cfg;
 }
 
@@ -385,12 +361,10 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
 
 /// Multi-writer storm: N controller threads push paced add/delete churn
 /// through the publisher's writer mutex while workers classify — the
-/// writer-side contention the single-writer storm cannot produce, and
-/// the natural stress test for the persistent probe memo's
-/// invalidate-on-swap path (every publish rotates the workers onto the
-/// other replica, so each worker's memo must drop and rebind hundreds
-/// of times mid-trace without ever serving a stale verdict; the oracle
-/// check below would catch one).
+/// writer-side contention the single-writer storm cannot produce.
+/// Every publish rotates the workers onto the other replica hundreds of
+/// times mid-trace; the oracle check below would catch a verdict served
+/// from a stale snapshot.
 ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
                                       WorkerBudget* budget,
                                       const std::string& name) {
@@ -712,7 +686,7 @@ const std::vector<ScenarioSpec>& ScenarioRunner::catalog() {
        "concurrent lookups"},
       {"update-storm-multi",
        "paced 4-writer churn contending on the publisher's writer mutex "
-       "— snapshot swaps stress memo invalidation mid-trace"},
+       "— hundreds of snapshot swaps mid-trace"},
       {"chaos",
        "fw-like workload in sharded replica mode under a seeded "
        "FaultPlan: worker kills, a stall and a failed publisher apply — "
@@ -857,7 +831,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("scale").value(opts.scale);
   j.key("seed").value(u64{opts.seed});
   j.key("ip_algorithm").value(std::string(to_string(opts.ip_algorithm)));
-  j.key("path_policy").value(std::string(to_string(opts.path_policy)));
   j.key("parallel").value(opts.parallel);
   j.key("max_workers").value(opts.max_workers);
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
@@ -885,30 +858,8 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("max").value(r.max_cycles);
     j.end_object();
     j.key("cache_hit_rate").value(r.cache_hit_rate);
+    j.key("classifier_lookups").value(r.classifier_lookups);
     j.key("memory_accesses").value(r.memory_accesses);
-    j.key("probe_memo_hits").value(r.probe_memo_hits);
-    j.key("probe_memo_invalidations").value(r.probe_memo_invalidations);
-    j.key("probe_memo_conflict_evictions")
-        .value(r.probe_memo_conflict_evictions);
-    j.key("controller").begin_object();
-    j.key("scalar_loop_batches").value(r.path_scalar_loop_batches);
-    j.key("phase2_batches").value(r.path_phase2_batches);
-    j.key("phase2_memo_batches").value(r.path_phase2_memo_batches);
-    j.key("cost_model").begin_object();
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      const auto path = static_cast<core::BatchPath>(p);
-      std::string key = to_string(path);  // e.g. "scalar-loop"
-      for (char& c : key) {
-        if (c == '-' || c == '+') c = '_';
-      }
-      j.key(key).begin_object();
-      j.key("ns_per_packet").value(r.controller_models[p].ns_per_packet);
-      j.key("ns_per_distinct_key")
-          .value(r.controller_models[p].ns_per_distinct_key);
-      j.end_object();
-    }
-    j.end_object();
-    j.end_object();
     j.key("snapshot").begin_object();
     j.key("min_version").value(r.snapshot_min_version);
     j.key("max_version").value(r.snapshot_max_version);
@@ -963,7 +914,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
       j.key("mpps").value(s.mpps);
       j.key("cache_hits").value(s.cache_hits);
       j.key("classifier_lookups").value(s.classifier_lookups);
-      j.key("probe_memo_hits").value(s.probe_memo_hits);
       j.key("memory_accesses").value(s.memory_accesses);
       j.key("p50_cycles").value(s.p50_cycles);
       j.key("p99_cycles").value(s.p99_cycles);
@@ -988,7 +938,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
       j.key("cache_misses").value(s.cache_misses);
       j.key("classifier_lookups").value(s.classifier_lookups);
       j.key("memory_accesses").value(s.memory_accesses);
-      j.key("probe_memo_hits").value(s.probe_memo_hits);
       j.key("min_version").value(s.min_version);
       j.key("max_version").value(s.max_version);
       j.key("p99_cycles").value(s.latency.percentile(99));

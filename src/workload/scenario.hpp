@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/path_controller.hpp"
 #include "dataplane/stats.hpp"
 #include "net/packet_batch.hpp"
 #include "telemetry/sample.hpp"
@@ -42,12 +41,6 @@ struct ScenarioOptions {
   /// per-family win/loss axis of the catalog (MBT/BST trie family vs
   /// the incremental-update RVH).
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  /// Phase-2 execution-path policy. kAdaptive (default) lets each
-  /// worker's cost-model controller pick per batch; kForcePhase2 pins
-  /// the batch engine (+memo), making memo hit counts deterministic;
-  /// kForceScalarLoop pins the packet-at-a-time loop (the scalar A/B
-  /// reference: modeled results are identical, host throughput is not).
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   /// Scenarios run concurrently by run_all()/run_many() (results are
   /// independent; report order stays catalog order). 0 = auto: as many
   /// as the worker budget can serve at full width (max_workers /
@@ -107,24 +100,8 @@ struct ScenarioResult {
   u64 p99_cycles = 0;
   u64 max_cycles = 0;
   double cache_hit_rate = 0;
-  u64 memory_accesses = 0;  ///< per-worker recorder totals, summed
-  u64 probe_memo_hits = 0;  ///< combiner probes served by the memo
-  /// Persistent-memo entry drops, summed across workers (initial binds
-  /// plus one per snapshot swap a worker classified across).
-  u64 probe_memo_invalidations = 0;
-  /// Memo replacements that evicted a live entry of another key, summed
-  /// across workers.
-  u64 probe_memo_conflict_evictions = 0;
-  /// Path-controller choices, summed across workers: batches served by
-  /// the scalar loop / batch engine / batch engine + memo.
-  u64 path_scalar_loop_batches = 0;
-  u64 path_phase2_batches = 0;
-  u64 path_phase2_memo_batches = 0;
-  /// The controller's fitted per-path cost model coefficients
-  /// (ns = ns_per_packet * packets + ns_per_distinct_key * distinct),
-  /// averaged over the workers that produced timed observations for the
-  /// path (all-zero under forced policies).
-  std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
+  u64 classifier_lookups = 0;  ///< full lookups (cache misses), summed
+  u64 memory_accesses = 0;     ///< per-worker recorder totals, summed
 
   // Snapshot consistency.
   u64 snapshot_min_version = 0;

@@ -9,8 +9,8 @@
 //     once;
 //   * probes never exceed the exhaustive product of the seven label
 //     list lengths, and fall below it on a firewall-shaped set;
-//   * the batch engine issues exactly the scalar path's probes and
-//     accesses, with the probe memo on and off.
+//   * the batch entry point issues exactly the scalar path's probes,
+//     accesses and cycles.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -312,40 +312,23 @@ TEST(BoundedCombine, BatchMatchesScalarProbesAndAccesses) {
       workload::synthesize(workload::RulesetProfile::fw(300, 41));
   core::ConfigurableClassifier clf(cross_config());
   clf.add_rules(rules);
-  clf.set_batch_path_policy(core::PathPolicy::kForcePhase2);
   workload::TraceSynthesizer ts(
       rules, workload::TraceProfile::standard(1024, 41));
   const std::vector<net::FiveTuple> in = headers_of(ts.generate());
 
-  std::vector<core::ClassifyResult> ref;
-  for (const auto& h : in) ref.push_back(clf.classify(h));
-
-  for (const bool memo : {false, true}) {
-    clf.set_batch_probe_memo(memo);
-    core::BatchScratch scratch;
-    std::vector<core::ClassifyResult> out(in.size());
-    for (usize off = 0; off < in.size(); off += 32) {
-      const usize len = std::min<usize>(32, in.size() - off);
-      clf.classify_batch(std::span(in).subspan(off, len),
-                         std::span(out).subspan(off, len), scratch);
-      EXPECT_EQ(scratch.last_batch_path, memo ? core::BatchPath::kPhase2Memo
-                                              : core::BatchPath::kPhase2);
-    }
-    for (usize i = 0; i < in.size(); ++i) {
-      ASSERT_EQ(out[i].match.has_value(), ref[i].match.has_value())
-          << "memo " << memo << ", packet " << i;
-      if (ref[i].match) {
-        EXPECT_EQ(out[i].match->rule, ref[i].match->rule);
-      }
-      EXPECT_EQ(out[i].crossproduct_probes, ref[i].crossproduct_probes)
-          << "memo " << memo << ", packet " << i;
-      EXPECT_EQ(out[i].memory_accesses, ref[i].memory_accesses)
-          << "memo " << memo << ", packet " << i;
-      if (memo) {
-        EXPECT_LE(out[i].cycles, ref[i].cycles);
-      } else {
-        EXPECT_EQ(out[i].cycles, ref[i].cycles);
-      }
-    }
+  core::BatchScratch scratch;
+  std::vector<core::ClassifyResult> out(in.size());
+  for (usize off = 0; off < in.size(); off += 32) {
+    const usize len = std::min<usize>(32, in.size() - off);
+    clf.classify_batch(std::span(in).subspan(off, len),
+                       std::span(out).subspan(off, len), scratch);
+  }
+  for (usize i = 0; i < in.size(); ++i) {
+    const core::ClassifyResult ref = clf.classify(in[i]);
+    EXPECT_EQ(out[i].match, ref.match) << "packet " << i;
+    EXPECT_EQ(out[i].crossproduct_probes, ref.crossproduct_probes)
+        << "packet " << i;
+    EXPECT_EQ(out[i].memory_accesses, ref.memory_accesses) << "packet " << i;
+    EXPECT_EQ(out[i].cycles, ref.cycles) << "packet " << i;
   }
 }

@@ -94,16 +94,6 @@ TEST(ControlProtocol, ParsesRuleCommands) {
 }
 
 TEST(ControlProtocol, ParsesSetCommands) {
-  const std::vector<std::string> pp = {"path-policy", "scalar-loop"};
-  const auto cm = std::get<sdn::ConfigMod>(control::parse_set_command(pp));
-  ASSERT_TRUE(cm.path_policy.has_value());
-  EXPECT_EQ(*cm.path_policy, core::PathPolicy::kForceScalarLoop);
-
-  const std::vector<std::string> ad = {"path-policy", "adaptive"};
-  EXPECT_EQ(
-      *std::get<sdn::ConfigMod>(control::parse_set_command(ad)).path_policy,
-      core::PathPolicy::kAdaptive);
-
   const std::vector<std::string> alg = {"ip-alg", "rvh"};
   EXPECT_EQ(
       *std::get<sdn::ConfigMod>(control::parse_set_command(alg)).ip_algorithm,
@@ -111,8 +101,11 @@ TEST(ControlProtocol, ParsesSetCommands) {
 
   const std::vector<std::string> bad_knob = {"turbo", "on"};
   EXPECT_THROW((void)control::parse_set_command(bad_knob), ParseError);
-  const std::vector<std::string> bad_value = {"path-policy", "warp"};
+  const std::vector<std::string> bad_value = {"ip-alg", "warp"};
   EXPECT_THROW((void)control::parse_set_command(bad_value), ParseError);
+  // Only ip-alg is a knob.
+  const std::vector<std::string> gone = {"path-policy", "phase2"};
+  EXPECT_THROW((void)control::parse_set_command(gone), ParseError);
 }
 
 // ---- harness ---------------------------------------------------------------
@@ -350,7 +343,7 @@ TEST(ControlServer, RejectsMalformedUnknownAndOversizedLines) {
     EXPECT_EQ(c.request("frobnicate now").code, 400);
     EXPECT_EQ(c.request("write rule add 1 2").code, 400);  // bad arity
     EXPECT_EQ(c.request("write rule add x 2 * * * * 6 drop").code, 400);
-    EXPECT_EQ(c.request("write set path-policy warp").code, 400);
+    EXPECT_EQ(c.request("write set ip-alg warp").code, 400);
     EXPECT_EQ(c.request("subscribe stats 0").code, 400);
     EXPECT_EQ(c.request("read").code, 400);
     // Empty lines are ignored, not answered.
@@ -468,8 +461,9 @@ TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
   EXPECT_LT(sv.cmd_to_all_max_ns, u64{60} * 1'000'000'000);
 
   // Config knobs land through the same southbound path.
-  EXPECT_EQ(c.request("write set path-policy phase2").code, 200);
-  // The batch-mode and memo-ways knobs are gone: unknown knobs.
+  EXPECT_EQ(c.request("write set ip-alg mbt").code, 200);
+  // Only ip-alg is a knob.
+  EXPECT_EQ(c.request("write set path-policy phase2").code, 400);
   EXPECT_EQ(c.request("write set batch-mode scalar").code, 400);
   EXPECT_EQ(c.request("write set memo-ways 2").code, 400);
 }
@@ -574,7 +568,7 @@ TEST(ControlPlane, DrainReconcilesLiveScrapeWithReportTotals) {
   EXPECT_EQ(c.request("write rule add 62001 62001 10.0.1.2/32 * * * 6 drop")
                 .code,
             409);
-  EXPECT_EQ(c.request("write set path-policy phase2").code, 409);
+  EXPECT_EQ(c.request("write set ip-alg mbt").code, 409);
   EXPECT_EQ(c.read_request("read metrics").code, 200);
   EXPECT_EQ(c.read_request("read timeseries").code, 200);
 }

@@ -353,11 +353,9 @@ TEST(ClassifyBatch, AgreesWithScalarClassify) {
   auto rules = ruleset::make_classbench_like(ruleset::FilterType::kAcl, 1000);
   core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(rules.size());
   cfg.combine_mode = core::CombineMode::kCrossProduct;
-  // Memo off pins the strict contract: per-packet cycles (not just
-  // results/accesses) identical to the scalar path. The full matrix —
-  // memo on/off, both engines, random batch sizes — lives in
+  // Per-packet results identical to the scalar path; the full matrix —
+  // every engine, shapes, batch sizes — lives in
   // tests/test_batch_phase2.cpp.
-  cfg.batch_probe_memo = false;
   core::ConfigurableClassifier clf(cfg);
   clf.add_rules(rules);
 

@@ -10,8 +10,8 @@
 //     + one write, the last rule leaving a prefix one tombstone write;
 //   * after add/remove churn the filter holds exactly what a fresh device
 //     built from the installed rules holds;
-//   * the batch engine issues the scalar path's probes, checks and
-//     accesses, with the probe memo on and off;
+//   * the batch entry point issues the scalar path's probes, checks,
+//     accesses and cycles;
 //   * a tiny probe bound re-seeds the filter and verdicts stay exact.
 #include <gtest/gtest.h>
 
@@ -317,47 +317,29 @@ TEST(PartialFilter, BatchMatchesScalarChecksProbesAndAccesses) {
       workload::synthesize(workload::RulesetProfile::fw(300, 41));
   core::ConfigurableClassifier clf(cross_config());
   clf.add_rules(rules);
-  clf.set_batch_path_policy(core::PathPolicy::kForcePhase2);
   workload::TraceSynthesizer ts(
       rules, workload::TraceProfile::standard(1024, 41));
   const std::vector<net::FiveTuple> in = headers_of(ts.generate());
 
-  std::vector<core::ClassifyResult> ref;
+  core::BatchScratch scratch;
+  std::vector<core::ClassifyResult> out(in.size());
+  for (usize off = 0; off < in.size(); off += 32) {
+    const usize len = std::min<usize>(32, in.size() - off);
+    clf.classify_batch(std::span(in).subspan(off, len),
+                       std::span(out).subspan(off, len), scratch);
+  }
   u64 checks = 0;
-  for (const auto& h : in) {
-    ref.push_back(clf.classify(h));
-    checks += ref.back().filter_checks;
+  for (usize i = 0; i < in.size(); ++i) {
+    const core::ClassifyResult ref = clf.classify(in[i]);
+    checks += ref.filter_checks;
+    EXPECT_EQ(out[i].match, ref.match) << "packet " << i;
+    EXPECT_EQ(out[i].crossproduct_probes, ref.crossproduct_probes)
+        << "packet " << i;
+    EXPECT_EQ(out[i].filter_checks, ref.filter_checks) << "packet " << i;
+    EXPECT_EQ(out[i].memory_accesses, ref.memory_accesses) << "packet " << i;
+    EXPECT_EQ(out[i].cycles, ref.cycles) << "packet " << i;
   }
   EXPECT_GT(checks, 0u);
-
-  for (const bool memo : {false, true}) {
-    clf.set_batch_probe_memo(memo);
-    core::BatchScratch scratch;
-    std::vector<core::ClassifyResult> out(in.size());
-    for (usize off = 0; off < in.size(); off += 32) {
-      const usize len = std::min<usize>(32, in.size() - off);
-      clf.classify_batch(std::span(in).subspan(off, len),
-                         std::span(out).subspan(off, len), scratch);
-    }
-    for (usize i = 0; i < in.size(); ++i) {
-      ASSERT_EQ(out[i].match.has_value(), ref[i].match.has_value())
-          << "memo " << memo << ", packet " << i;
-      if (ref[i].match) {
-        EXPECT_EQ(out[i].match->rule, ref[i].match->rule);
-      }
-      EXPECT_EQ(out[i].crossproduct_probes, ref[i].crossproduct_probes)
-          << "memo " << memo << ", packet " << i;
-      EXPECT_EQ(out[i].filter_checks, ref[i].filter_checks)
-          << "memo " << memo << ", packet " << i;
-      EXPECT_EQ(out[i].memory_accesses, ref[i].memory_accesses)
-          << "memo " << memo << ", packet " << i;
-      if (memo) {
-        EXPECT_LE(out[i].cycles, ref[i].cycles);
-      } else {
-        EXPECT_EQ(out[i].cycles, ref[i].cycles);
-      }
-    }
-  }
 }
 
 // ---- re-seed ----

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -32,9 +33,6 @@ TraceEvent make_event(u64 i) {
   e.packets = static_cast<u32>(i % 33);
   e.lookups = static_cast<u32>(i % 17);
   e.distinct_keys = static_cast<u32>(i % 13);
-  e.path = static_cast<core::BatchPath>(i % core::kNumBatchPaths);
-  e.memo_hits = static_cast<u32>(i % 101);
-  e.memo_conflicts = static_cast<u32>(i % 59);
   e.snapshot_version = i;
   return e;
 }
@@ -49,9 +47,6 @@ void expect_consistent(const TraceEvent& e) {
   EXPECT_EQ(e.packets, i % 33);
   EXPECT_EQ(e.lookups, i % 17);
   EXPECT_EQ(e.distinct_keys, i % 13);
-  EXPECT_EQ(static_cast<u64>(e.path), i % core::kNumBatchPaths);
-  EXPECT_EQ(e.memo_hits, i % 101);
-  EXPECT_EQ(e.memo_conflicts, i % 59);
 }
 
 TEST(TraceEvent, PackUnpackRoundTrips) {
@@ -64,9 +59,6 @@ TEST(TraceEvent, PackUnpackRoundTrips) {
     EXPECT_EQ(r.packets, e.packets);
     EXPECT_EQ(r.lookups, e.lookups);
     EXPECT_EQ(r.distinct_keys, e.distinct_keys);
-    EXPECT_EQ(r.path, e.path);
-    EXPECT_EQ(r.memo_hits, e.memo_hits);
-    EXPECT_EQ(r.memo_conflicts, e.memo_conflicts);
     EXPECT_EQ(r.snapshot_version, e.snapshot_version);
   }
 }
@@ -254,6 +246,33 @@ core::ClassifierConfig small_config() {
   core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(1000);
   cfg.ip_algorithm = core::IpAlgorithm::kBst;
   return cfg;
+}
+
+// The classifier's span event reports the batch's dedup: distinct_keys
+// is the exact number of distinct tuples among the batch's lookups, on
+// every batch (one-header batches included), and never above lookups.
+TEST(TraceEvent, DistinctKeysIsTheExactDedupCount) {
+  dataplane::RuleProgramPublisher programs(small_config());
+  for (u32 i = 0; i < 8; ++i) programs.apply(add_msg(i));
+  WorkerTelemetry tel(0);
+  dataplane::ClassifierElement clf(&programs, nullptr, &tel);
+  const std::vector<std::vector<u32>> batches = {
+      {0, 1, 0, 2, 1, 0, 3, 3}, {5}, {4, 4, 4, 4}, {0, 1, 2, 3, 4, 5, 6, 7}};
+  for (const auto& ids : batches) {
+    net::PacketBatch b(32);
+    for (const u32 id : ids) b.push(probe_tuple(id));
+    clf.push_batch(b);
+  }
+  std::vector<TraceEvent> events;
+  tel.ring.drain(&events);
+  ASSERT_EQ(events.size(), batches.size());
+  for (usize k = 0; k < batches.size(); ++k) {
+    const std::set<u32> distinct(batches[k].begin(), batches[k].end());
+    EXPECT_EQ(events[k].lookups, batches[k].size()) << "batch " << k;
+    EXPECT_EQ(events[k].distinct_keys, distinct.size()) << "batch " << k;
+    EXPECT_LE(events[k].distinct_keys, events[k].lookups) << "batch " << k;
+  }
+  EXPECT_EQ(clf.lookups(), 21u);  // duplicates count as lookups
 }
 
 TEST(StatsSampler, IntervalDeltasSumToEndOfRunTotals) {
@@ -480,23 +499,23 @@ TEST(StatsSampler, RowWithOnlyAccessDeltasIsKept) {
       wait_for_row([](const StatsSample& s) { return s.packets != 0; }));
   tel.live.memory_accesses.fetch_add(25, std::memory_order_relaxed);
   tel.live.cache_hits.fetch_add(3, std::memory_order_relaxed);
-  tel.live.probe_memo_hits.fetch_add(4, std::memory_order_relaxed);
+  tel.live.classifier_lookups.fetch_add(4, std::memory_order_relaxed);
   // A periodic tick (not the final flush) picks the deltas up.
   EXPECT_TRUE(wait_for_row([](const StatsSample& s) {
     return s.packets == 0 && s.memory_accesses == 25;
   }));
   sampler.stop();
-  u64 packets = 0, mem = 0, hits = 0, memo = 0;
+  u64 packets = 0, mem = 0, hits = 0, lookups = 0;
   for (const StatsSample& s : sampler.take_samples()) {
     packets += s.packets;
     mem += s.memory_accesses;
     hits += s.cache_hits;
-    memo += s.probe_memo_hits;
+    lookups += s.classifier_lookups;
   }
   EXPECT_EQ(packets, 10u);
   EXPECT_EQ(mem, 25u);
   EXPECT_EQ(hits, 3u);
-  EXPECT_EQ(memo, 4u);
+  EXPECT_EQ(lookups, 4u);
 }
 
 TEST(StatsSampler, SubscribersSeeEveryActiveRowIncludingFinalFlush) {

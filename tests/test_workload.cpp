@@ -353,9 +353,9 @@ TEST(Scenario, MultiWriterStormOracleCleanUnderContention) {
   EXPECT_EQ(r.oracle_mismatches, 0u);
   // 4 writers x >= 256 paced messages each actually went through.
   EXPECT_GE(r.updates_applied, 1024u);
-  // The swap churn forced the workers' persistent memos to rebind many
-  // times mid-trace (each publish rotates the replica under them).
-  EXPECT_GT(r.probe_memo_invalidations, 2u);
+  // The workers classified across snapshot swaps mid-trace (each
+  // publish rotates the replica under them).
+  EXPECT_GT(r.snapshot_max_version, r.snapshot_min_version);
 }
 
 TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
@@ -406,14 +406,12 @@ TEST(Scenario, WorkerBudgetCapsConcurrentEngineWorkers) {
 }
 
 TEST(Scenario, CappedParallelReportsByteIdenticalToSequential) {
-  // Under a pinned path (no host-timing-dependent controller choices)
-  // and one worker per scenario (deterministic pool partitioning), a
+  // With one worker per scenario (deterministic pool partitioning), a
   // budget-capped parallel run must reproduce the sequential run's
   // report byte for byte once the wall-clock-only fields are zeroed.
   const std::vector<std::string> names = {"acl-like", "fw-like",
                                           "zipf-locality", "cache-thrash"};
   const ScenarioOptions base{.workers = 1, .scale = 0.04, .seed = 13,
-                             .path_policy = core::PathPolicy::kForcePhase2,
                              .max_workers = 2};
   ScenarioOptions seq_opts = base;
   seq_opts.parallel = 1;

@@ -6,8 +6,6 @@
 ///
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
-///                   [--memo persistent|off]
-///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
 ///                   [--shards N] [--steer-symmetric]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
@@ -23,15 +21,8 @@
 /// --workers, as do the sharding knobs: --shards N steers packets to N
 /// RSS-style shards by 5-tuple flow hash (--steer-symmetric
 /// canonicalizes endpoint order so both flow directions co-locate).
-///
-/// --memo controls the combination-probe memo: persistent (default,
-/// snapshot-keyed, survives batch boundaries) or off. --path-policy
-/// pins the execution path (scalar-loop = packet-at-a-time, phase2 =
-/// sorted-key batch engine) instead of letting the per-worker
-/// cost-model controller pick it per batch. Both apply to the engine
-/// path and to the single-threaded loop (which classifies in batches of
-/// --batch and reports host throughput, so the paths can be compared
-/// directly).
+/// Without --workers the trace is classified on one thread in batches
+/// of --batch, and the host throughput is reported.
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -59,8 +50,6 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--memo persistent|off] "
-               "[--path-policy adaptive|phase2|scalar-loop]\n"
                "                       [--workers N [--batch B] "
                "[--cache DEPTH]\n"
                "                        [--shards N] [--steer-symmetric]\n"
@@ -155,30 +144,14 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   }
 
   const auto lat = rep.merged_latency();
-  u64 memo_hits = 0, memo_inval = 0, b_scalar = 0, b_p2 = 0, b_p2m = 0;
-  for (const auto& w : rep.workers) {
-    memo_hits += w.probe_memo_hits;
-    memo_inval += w.probe_memo_invalidations;
-    b_scalar += w.path_scalar_loop_batches;
-    b_p2 += w.path_phase2_batches;
-    b_p2m += w.path_phase2_memo_batches;
-  }
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
-                           std::to_string(batch) + " (" +
-                           to_string(cfg.batch_path_policy) + ")"});
+                           std::to_string(batch)});
   if (shards > 0) {
     a.add_row({"shards", std::to_string(shards) +
                              (steer_symmetric ? " (symmetric steering)"
                                               : "")});
   }
-  a.add_row({"probe memo hits", std::to_string(memo_hits) + " (" +
-                                    std::to_string(memo_inval) +
-                                    " invalidations)"});
-  a.add_row({"controller paths",
-             "scalar-loop " + std::to_string(b_scalar) + " / phase2 " +
-                 std::to_string(b_p2) + " / phase2+memo " +
-                 std::to_string(b_p2m) + " batches"});
   a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
                           "coalesced snapshot)"});
   a.add_row({"packets", std::to_string(rep.packets())});
@@ -233,8 +206,6 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
             static_cast<double>(lat.percentile(50)));
     m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
             static_cast<double>(lat.percentile(99)));
-    m.counter("pclass_probe_memo_hits_total", "Probe-memo hits", ls,
-              static_cast<double>(memo_hits));
     m.counter("pclass_trace_events_dropped_total",
               "Trace-ring events lost to overwrite", ls,
               static_cast<double>(rep.trace_events_dropped()));
@@ -276,8 +247,6 @@ int main(int argc, char** argv) {
   }
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
-  bool probe_memo = true;
   bool verify = false;
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
@@ -317,20 +286,6 @@ int main(int argc, char** argv) {
       if (v == "first") mode = core::CombineMode::kFirstLabel;
       else if (v == "cross") mode = core::CombineMode::kCrossProduct;
       else return usage();
-    } else if (flag == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "persistent") probe_memo = true;
-      else if (v == "off") probe_memo = false;
-      else return usage();
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else if (flag == "--stats-interval-ms" && i + 1 < argc) {
       if (!parse_count(argv[++i], n) || n > 3'600'000) return usage();
       tout.stats_interval_ms = n;
@@ -371,8 +326,6 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size());
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
-    cfg.batch_probe_memo = probe_memo;
-    cfg.batch_path_policy = path_policy;
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
@@ -386,11 +339,10 @@ int main(int argc, char** argv) {
     core::ConfigurableClassifier clf(cfg);
     const auto load = clf.add_rules(rules);
 
-    // Single-threaded loop, batched: the --path-policy A/B runs over the
-    // same headers with host wall time measured around the batch calls.
+    // Single-threaded loop, batched, with host wall time measured around
+    // the batch calls.
     hw::CycleAggregate agg;
     usize hits = 0;
-    u64 memo_hits = 0;
     u64 probes = 0;
     u64 filter_checks = 0;
     std::vector<net::FiveTuple> headers;
@@ -412,7 +364,6 @@ int main(int argc, char** argv) {
       rec.charge(res.cycles, res.memory_accesses);
       agg.add(rec);
       if (res.match) ++hits;
-      memo_hits += res.memo_hits;
       probes += res.crossproduct_probes;
       filter_checks += res.filter_checks;
     }
@@ -422,8 +373,7 @@ int main(int argc, char** argv) {
         clf.lookup_pipeline().initiation_interval());
     TextTable t({"metric", "value"});
     t.add_row({"configuration", std::string(to_string(alg)) + " / " +
-                                    to_string(mode) + " / path " +
-                                    to_string(path_policy)});
+                                    to_string(mode)});
     t.add_row({"host throughput",
                TextTable::num(host_secs <= 0
                                   ? 0.0
@@ -431,24 +381,6 @@ int main(int argc, char** argv) {
                                         1e6 / host_secs,
                               3) +
                    " Mpps (1 thread, batch " + std::to_string(batch) + ")"});
-    if (memo_hits > 0) {
-      t.add_row({"probe memo hits",
-                 std::to_string(memo_hits) + " (" +
-                     std::to_string(scratch.memo_invalidations) +
-                     " invalidations)"});
-    }
-    t.add_row(
-        {"controller paths",
-         "scalar-loop " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kScalarLoop)) +
-             " / phase2 " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kPhase2)) +
-             " / phase2+memo " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kPhase2Memo)) +
-             " batches"});
     t.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (" +
                                 TextTable::num(
                                     static_cast<double>(load.cycles) /

@@ -12,7 +12,6 @@
 ///                   [--scale F] [--out FILE] [--parallel N]
 ///                   [--max-workers N]
 ///                   [--ip-alg mbt|bst|rvh]
-///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--shards N] [--steer-symmetric] [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
@@ -40,7 +39,7 @@
 /// per-family win/loss axis CI sweeps over saved workloads.
 ///
 /// --shards N runs every scenario's engine as N RSS-style shards, each
-/// owning its classifier replica, flow cache and probe memo; the trace
+/// owning its classifier replica and flow cache; the trace
 /// is steered per-flow across them. --steer-symmetric makes both
 /// directions of a flow land on the same shard.
 ///
@@ -51,9 +50,8 @@
 ///
 /// --save-workloads writes each scenario's synthesized ruleset/trace as
 /// versioned PCR1/PCT1 binaries; --load-workloads replays them instead
-/// of re-synthesizing, so two runs (e.g. --path-policy scalar-loop vs
-/// phase2, two backends, or two builds) measure byte-identical
-/// workloads.
+/// of re-synthesizing, so two runs (e.g. two backends or two builds)
+/// measure byte-identical workloads.
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -76,7 +74,6 @@ int usage() {
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
                "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
                "[--ip-alg mbt|bst|rvh] "
-               "[--path-policy adaptive|phase2|scalar-loop] "
                "[--shards N] [--steer-symmetric] [--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
                "[--stats-interval-ms N] [--trace-out FILE] "
@@ -111,11 +108,6 @@ void write_metrics(std::ostream& os,
             static_cast<double>(r.p50_cycles));
     m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
             static_cast<double>(r.p99_cycles));
-    m.counter("pclass_probe_memo_hits_total", "Probe-memo hits", ls,
-              static_cast<double>(r.probe_memo_hits));
-    m.counter("pclass_probe_memo_conflict_evictions_total",
-              "Probe-memo conflict evictions", ls,
-              static_cast<double>(r.probe_memo_conflict_evictions));
     m.counter("pclass_updates_applied_total", "Southbound updates applied",
               ls, static_cast<double>(r.updates_applied));
     m.counter("pclass_trace_events_dropped_total",
@@ -197,15 +189,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") opts.ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") opts.ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") opts.path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") opts.path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        opts.path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else if (flag == "--shards" && i + 1 < argc) {
       // 0 = unsharded (the default geometry).
       if (!parse_count(argv[++i], n) || n > 256) return usage();
@@ -259,11 +242,6 @@ int main(int argc, char** argv) {
                 << static_cast<int>(r.cache_hit_rate * 100) << "%, oracle "
                 << (r.oracle_checked - r.oracle_mismatches) << "/"
                 << r.oracle_checked;
-      if (r.probe_memo_hits > 0) {
-        std::cerr << ", memo " << r.probe_memo_hits << " (inval "
-                  << r.probe_memo_invalidations << ", confl "
-                  << r.probe_memo_conflict_evictions << ")";
-      }
       if (r.updates_applied > 0) {
         std::cerr << ", " << r.updates_applied << " updates";
       }

@@ -12,13 +12,11 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--memo persistent|off]
-///                [--path-policy adaptive|phase2|scalar-loop]
 ///                [--shards N] [--steer-symmetric]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
 ///
 /// --shards N serves the loop with N RSS-style shards (per-flow steered
-/// slices, one classifier replica + flow cache + probe memo per shard);
+/// slices, one classifier replica + flow cache per shard);
 /// `read stats` then reports one row per shard.
 ///
 /// The engine runs supervised: a watchdog thread restarts workers that
@@ -76,8 +74,6 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--memo persistent|off]\n"
-         "                    [--path-policy adaptive|phase2|scalar-loop]\n"
          "                    [--shards N] [--steer-symmetric]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
          "[--version]\n"
@@ -162,8 +158,7 @@ void write_report(std::ostream& os, const dataplane::EngineReport& rep,
   j.key("endpoint").value(server.endpoint());
   j.key("wall_seconds").value(rep.wall_seconds);
 
-  u64 batches = 0, dropped = 0, cache_hits = 0, lookups = 0, mem = 0,
-      memo_hits = 0;
+  u64 batches = 0, dropped = 0, cache_hits = 0, lookups = 0, mem = 0;
   j.key("workers").begin_array();
   for (const auto& w : rep.workers) {
     batches += w.batches;
@@ -171,7 +166,6 @@ void write_report(std::ostream& os, const dataplane::EngineReport& rep,
     cache_hits += w.cache_hits;
     lookups += w.classifier_lookups;
     mem += w.memory_accesses;
-    memo_hits += w.probe_memo_hits;
     j.begin_object();
     j.key("worker").value(static_cast<u64>(w.worker));
     j.key("packets").value(w.packets);
@@ -181,7 +175,6 @@ void write_report(std::ostream& os, const dataplane::EngineReport& rep,
     j.key("cache_hits").value(w.cache_hits);
     j.key("classifier_lookups").value(w.classifier_lookups);
     j.key("memory_accesses").value(w.memory_accesses);
-    j.key("probe_memo_hits").value(w.probe_memo_hits);
     j.key("mpps").value(w.mpps());
     j.key("p50_cycles").value(w.latency.percentile(50));
     j.key("p99_cycles").value(w.latency.percentile(99));
@@ -203,7 +196,6 @@ void write_report(std::ostream& os, const dataplane::EngineReport& rep,
     j.key("cache_hits").value(s.cache_hits);
     j.key("classifier_lookups").value(s.classifier_lookups);
     j.key("memory_accesses").value(s.memory_accesses);
-    j.key("probe_memo_hits").value(s.probe_memo_hits);
     j.key("p50_cycles").value(s.latency.percentile(50));
     j.key("p99_cycles").value(s.latency.percentile(99));
     j.end_object();
@@ -218,7 +210,6 @@ void write_report(std::ostream& os, const dataplane::EngineReport& rep,
   j.key("cache_hits").value(cache_hits);
   j.key("classifier_lookups").value(lookups);
   j.key("memory_accesses").value(mem);
-  j.key("probe_memo_hits").value(memo_hits);
   j.key("aggregate_mpps").value(rep.aggregate_mpps());
   j.end_object();
 
@@ -283,8 +274,6 @@ int main(int argc, char** argv) {
   u32 cache_depth = 0;
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
-  bool probe_memo = true;
   usize shards = 0;
   bool steer_symmetric = false;
   std::string fault_plan_spec;
@@ -321,11 +310,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "persistent") probe_memo = true;
-      else if (v == "off") probe_memo = false;
-      else return usage();
     } else if (flag == "--shards" && i + 1 < argc) {
       // 0 = unsharded.
       if (!parse_count(argv[++i], n) || n > 256) return usage();
@@ -334,15 +318,6 @@ int main(int argc, char** argv) {
       steer_symmetric = true;
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       fault_plan_spec = argv[++i];
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else {
       return usage();
     }
@@ -363,8 +338,6 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size() + 1024);
     cfg.combine_mode = core::CombineMode::kCrossProduct;
     cfg.ip_algorithm = ip_algorithm;
-    cfg.batch_probe_memo = probe_memo;
-    cfg.batch_path_policy = path_policy;
 
     dataplane::RuleProgramPublisher programs(cfg);
     programs.install_ruleset(rules);
