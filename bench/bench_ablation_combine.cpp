@@ -1,10 +1,14 @@
 /// \file bench_ablation_combine.cpp
 /// Ablation A (DESIGN.md §1.1) — the paper's first-label combination vs
 /// the exact cross-product combination, across all nine calibrated
-/// workloads: HPMR agreement with the linear-search oracle, hash probes
-/// and cycles per lookup. This quantifies the soundness gap the paper
-/// does not evaluate: a single first-label probe is fast but rarely
-/// lands on the highest-priority matching rule in overlapping sets.
+/// workloads: HPMR agreement with the linear-search oracle, Rule Filter
+/// probes, partial-filter checks and cycles per lookup. This quantifies
+/// the soundness gap the paper does not evaluate: a single first-label
+/// probe is fast but rarely lands on the highest-priority matching rule
+/// in overlapping sets.
+///
+/// Exits 1 when a CrossProduct row falls below 100 % agreement: the
+/// exact combine must match the oracle on every header.
 #include "bench_util.hpp"
 
 using namespace pclass;
@@ -16,7 +20,8 @@ int main() {
          "9 workloads x 2 modes, MBT configuration");
 
   TextTable t({"workload", "mode", "agreement", "hit-is-valid", "probes/pkt",
-               "cycles/pkt"});
+               "checks/pkt", "cycles/pkt"});
+  bool exact = true;
   for (const auto type : {ruleset::FilterType::kAcl, ruleset::FilterType::kFw,
                           ruleset::FilterType::kIpc}) {
     for (const usize nominal : {usize{1000}, usize{5000}, usize{10000}}) {
@@ -26,10 +31,11 @@ int main() {
         auto clf = make_classifier(w.rules, core::IpAlgorithm::kMbt, mode);
         baseline::LinearSearch oracle(w.rules);
         usize agree = 0, hits = 0, valid_hits = 0;
-        u64 probes = 0, cycles = 0;
+        u64 probes = 0, checks = 0, cycles = 0;
         for (const auto& e : w.trace) {
           const auto res = clf->classify(e.header);
           probes += res.crossproduct_probes;
+          checks += res.filter_checks;
           cycles += res.cycles;
           const auto* want = oracle.classify(e.header, nullptr);
           if (res.match) {
@@ -43,6 +49,10 @@ int main() {
           if (ok) ++agree;
         }
         const auto n = static_cast<double>(w.trace.size());
+        if (mode == core::CombineMode::kCrossProduct &&
+            agree != w.trace.size()) {
+          exact = false;
+        }
         t.add_row({w.rules.name(), to_string(mode),
                    TextTable::num(100.0 * static_cast<double>(agree) / n,
                                   1) +
@@ -55,6 +65,7 @@ int main() {
                                               1) +
                                    " %",
                    TextTable::num(static_cast<double>(probes) / n, 1),
+                   TextTable::num(static_cast<double>(checks) / n, 1),
                    TextTable::num(static_cast<double>(cycles) / n, 1)});
       }
     }
@@ -66,5 +77,9 @@ int main() {
          "rules when it hits, but misses / under-prioritizes on "
          "overlapping sets — the cost of the paper's single-probe "
          "phase 3.\n";
+  if (!exact) {
+    std::cerr << "FAIL: a CrossProduct row is below 100 % agreement\n";
+    return 1;
+  }
   return 0;
 }

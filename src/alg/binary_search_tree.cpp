@@ -127,32 +127,21 @@ void BinarySearchTree::rebuild(hw::CommandLog& log) {
                         " intervals exceed capacity " +
                         std::to_string(nodes_.size()));
   }
-  std::vector<SwNode> fresh(nodes_.size());
-  for (usize i = 0; i < intervals.size(); ++i) {
-    fresh[i].valid = true;
-    fresh[i].start = intervals[i].start;
-    fresh[i].list = std::move(intervals[i].list);
-  }
-
-  // 3. Diff against the current shadow; upload only changed words.
-  live_nodes_ = 0;
+  // 3. Diff against the current shadow; upload only changed words. A
+  //    node keeps its list while the list still serves it
+  //    (LabelListStore::repoint: same labels, no stored bound to lower).
+  static const std::vector<Label> kNoList;
+  live_nodes_ = static_cast<u32>(intervals.size());
   for (u32 i = 0; i < nodes_.size(); ++i) {
-    SwNode& old = nodes_[i];
-    SwNode& nw = fresh[i];
-    if (nw.valid) ++live_nodes_;
-    const bool same = old.valid == nw.valid && old.start == nw.start &&
-                      old.list == nw.list;
-    if (same) {
+    SwNode& node = nodes_[i];
+    const bool valid = i < intervals.size();
+    const u16 start = valid ? intervals[i].start : 0;
+    const ListRef ref = lists_.repoint(
+        node.ref, valid ? intervals[i].list : kNoList, prio_of_, log);
+    if (node.valid == valid && node.start == start && node.ref == ref) {
       continue;
     }
-    const ListRef new_ref = (nw.valid && !nw.list.empty())
-                                ? lists_.acquire(nw.list, log)
-                                : ListRef{};
-    lists_.release(old.ref);
-    old.valid = nw.valid;
-    old.start = nw.start;
-    old.list = std::move(nw.list);
-    old.ref = new_ref;
+    node = SwNode{start, ref, valid};
     write_node(i, log);
   }
 }

@@ -97,8 +97,7 @@ class BinarySearchTree {
  private:
   struct SwNode {
     u16 start = 0;
-    std::vector<Label> list;
-    ListRef ref{};
+    ListRef ref{};  ///< the interval's list; its labels live in the store
     bool valid = false;
   };
 

@@ -242,19 +242,17 @@ void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
   if (!changed && !force) {
     return;  // nothing below can have changed either (same inherited base)
   }
-  if (changed) {
-    // Only an entry with its own anchored coverage stores a pointer;
-    // the others inherit the same list through the lookup fallback.
-    const ListRef new_ref = fresh.size() > inherited.size()
-                                ? lists_.acquire(fresh, log)
-                                : ListRef{};
-    lists_.release(e.ref);
-    const bool moved = new_ref != e.ref;
+  // Only an entry with its own anchored coverage stores a pointer; the
+  // others inherit the same list through the lookup fallback. A forced
+  // pass over an unchanged list still rewrites it when a stored bound
+  // must fall (LabelListStore::repoint).
+  const ListRef new_ref = lists_.repoint(
+      e.ref, fresh.size() > inherited.size() ? fresh : std::vector<Label>{},
+      prio_of_, log);
+  e.list = std::move(fresh);
+  if (new_ref != e.ref) {
     e.ref = new_ref;
-    e.list = std::move(fresh);
-    if (moved) {
-      write_entry(level, node, entry, log);
-    }
+    write_entry(level, node, entry, log);
   }
   if (e.child >= 0) {
     const i64 child = e.child;

@@ -62,7 +62,8 @@ struct MbtConfig {
 class MultiBitTrie {
  public:
   /// \param prio_of  controller callback: current best rule priority of a
-  ///                 label (label lists are kept sorted by it).
+  ///                 label (label lists are kept sorted by it, and store
+  ///                 its bound).
   /// \param shared_level  optional externally-owned memory to use for one
   ///                 level (Fig. 5 sharing); nullptr = own all levels.
   MultiBitTrie(const std::string& name, MbtConfig cfg, LabelListStore& lists,
@@ -145,7 +146,9 @@ class MultiBitTrie {
   void write_entry(usize level, i64 node, u32 entry, hw::CommandLog& log);
   /// Recompute the list of one entry (and its subtree) from the inherited
   /// base list; writes the entry's word only when its stored pointer
-  /// changes (null unless the entry has its own anchored coverage). When
+  /// changes (null unless the entry has its own anchored coverage, and
+  /// re-pointed when the list changes or one of its stored bounds must
+  /// fall; see LabelListStore::repoint). When
   /// \p force is false the recursion prunes at unchanged entries — valid for
   /// inserts/removes (a change always propagates through the entry's own
   /// list) but NOT for priority refreshes, where a descendant list can

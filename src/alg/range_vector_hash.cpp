@@ -100,7 +100,7 @@ void RangeVectorHash::write_entry(u32 slot, hw::CommandLog& log) {
 }
 
 void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
-                                  std::vector<Label> list,
+                                  const std::vector<Label>& list,
                                   hw::CommandLog& log) {
   u32 slot = home_slot(p);
   for (u32 probes = 0;; ++probes) {
@@ -115,8 +115,7 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
   SwEntry& e = slots_[slot];
   e.valid = true;
   e.prefix = p;
-  e.ref = lists_.acquire(list, log);
-  e.list = std::move(list);
+  e.ref = lists_.acquire(list, prio_of_, log);
   ++live_entries_;
   // §V.A: one hash-unit cycle to obtain the entry address, then the word.
   log.hash_compute(mem_->name() + ".hash");
@@ -153,12 +152,9 @@ void RangeVectorHash::refresh_entry(ruleset::SegmentPrefix p,
                                     hw::CommandLog& log) {
   const u32 slot = find_slot(p);
   SwEntry& e = slots_[slot];
-  std::vector<Label> fresh = compute_list(p);
-  if (fresh == e.list) return;
-  const ListRef new_ref = lists_.acquire(fresh, log);
-  lists_.release(e.ref);
-  e.list = std::move(fresh);
-  e.ref = new_ref;
+  const ListRef ref = lists_.repoint(e.ref, compute_list(p), prio_of_, log);
+  if (ref == e.ref) return;
+  e.ref = ref;
   write_entry(slot, log);
 }
 

@@ -94,8 +94,7 @@ class RangeVectorHash {
   struct SwEntry {
     bool valid = false;
     ruleset::SegmentPrefix prefix{};
-    std::vector<Label> list;  ///< covering labels, priority-ordered
-    ListRef ref{};
+    ListRef ref{};  ///< covering list; its labels live in the store
   };
 
   [[nodiscard]] u32 home_slot(ruleset::SegmentPrefix p) const;
@@ -104,11 +103,12 @@ class RangeVectorHash {
   [[nodiscard]] std::vector<Label> compute_list(
       ruleset::SegmentPrefix p) const;
   void write_entry(u32 slot, hw::CommandLog& log);
-  void place_entry(ruleset::SegmentPrefix p, std::vector<Label> list,
+  void place_entry(ruleset::SegmentPrefix p, const std::vector<Label>& list,
                    hw::CommandLog& log);
   void erase_entry(ruleset::SegmentPrefix p, hw::CommandLog& log);
   /// Recompute + re-upload the covering list of one live prefix if it
-  /// changed (the descendant-repair step of every mutation).
+  /// changed or a stored bound must fall (the descendant-repair step of
+  /// every mutation).
   void refresh_entry(ruleset::SegmentPrefix p, hw::CommandLog& log);
   /// Apply \p fn to every live strict descendant of \p p (longer
   /// prefixes covered by it) via a bounded map range scan.

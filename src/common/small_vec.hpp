@@ -74,7 +74,7 @@ class SmallVec {
 /// a handful of labels); longer lists spill to the heap, correctly.
 using LabelVec = SmallVec<Label, 8>;
 
-/// The priority bounds paired with a port/protocol LabelVec.
+/// The priority bounds paired with a LabelVec, one per label.
 using BoundVec = SmallVec<PriorityBound, 8>;
 
 }  // namespace pclass

@@ -549,12 +549,13 @@ ClassifyResult ConfigurableClassifier::classify(
     }
   } else {
     // CrossProduct: the exact bounded combine over the (short) label
-    // lists, keeping the highest-priority hit.
+    // lists, keeping the highest-priority hit. Every list arrives with
+    // the bound stored beside each label, in ascending order.
     std::array<LabelVec, kNumDimensions> lists;
     std::array<BoundVec, kNumDimensions> bounds;
     for (usize i = 0; i < 4; ++i) {
-      lists_[i]->read_list_into(ip_refs[i], &recs[index_of(kIpDims[i])],
-                                lists[index_of(kIpDims[i])]);
+      const usize d = index_of(kIpDims[i]);
+      lists_[i]->read_bounded_into(ip_refs[i], &recs[d], lists[d], bounds[d]);
     }
     sport_regs_->lookup_bounded_into(h.src_port, &recs[kSport],
                                      lists[kSport], bounds[kSport]);
@@ -579,8 +580,9 @@ void ConfigurableClassifier::bounded_combine(
     const std::array<LabelVec, kNumDimensions>& lists,
     const std::array<BoundVec, kNumDimensions>& bounds,
     hw::CycleRecorder& tail, ClassifyResult& out) const {
-  // Walk order: the bounded (port, protocol) dimensions outermost, so
-  // their bounds can cut whole subtrees of IP-label combinations.
+  // Walk order: the port and protocol dimensions outermost, so their
+  // bounds cut whole subtrees of IP-label combinations; every level's
+  // list ascends in bound, so a cut at any level drops its tail.
   static constexpr std::array<Dimension, kNumDimensions> kWalk = {
       Dimension::kSrcPort, Dimension::kDstPort, Dimension::kProtocol,
       Dimension::kSrcIpHi, Dimension::kSrcIpLo, Dimension::kDstIpHi,
@@ -588,14 +590,11 @@ void ConfigurableClassifier::bounded_combine(
   for (const LabelVec& list : lists) {
     if (list.empty()) return;  // a dimension matched nothing: no combination
   }
-  auto bound_at = [&](usize d, usize i) -> Priority {
-    return bounds[d].empty() ? 0 : bounds[d][i];
-  };
   // rest[k]: the largest of the smallest bounds of walk levels k and
   // deeper (each list ascends, so its smallest bound is its first).
   std::array<Priority, kNumDimensions + 1> rest{};
   for (usize k = kNumDimensions; k-- > 0;) {
-    rest[k] = std::max(rest[k + 1], bound_at(index_of(kWalk[k]), 0));
+    rest[k] = std::max<Priority>(rest[k + 1], bounds[index_of(kWalk[k])][0]);
   }
 
   std::array<Label, kNumDimensions> combo{};
@@ -603,7 +602,7 @@ void ConfigurableClassifier::bounded_combine(
   auto walk = [&](auto& self, usize k, Priority acc) -> void {
     const usize d = index_of(kWalk[k]);
     for (usize i = 0; i < lists[d].size(); ++i) {
-      Priority b = std::max(acc, bound_at(d, i));
+      Priority b = std::max<Priority>(acc, bounds[d][i]);
       // Every rule under this branch has priority >= max(b, rest). Cut
       // only when that is strictly worse than the best hit (an equal
       // priority may still win on the lower rule id); the list ascends,
@@ -613,8 +612,8 @@ void ConfigurableClassifier::bounded_combine(
       if (d == kSrcIpHi) {
         // The 4-label prefix is complete: no rule holds it on a miss;
         // on a hit every rule under it has priority >= the stored
-        // bound. The src_ip_hi list is not bound-ordered, so only this
-        // branch is cut.
+        // bound. The stored prefix bounds do not ascend along the
+        // src_ip_hi list, so a cut here drops only this branch.
         ++out.filter_checks;
         const std::optional<PriorityBound> held = partial_filter_->check(
             PartialFilter::key_of(combo[kSport], combo[kDport],

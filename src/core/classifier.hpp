@@ -211,6 +211,14 @@ class ConfigurableClassifier {
     return *lists_.at(ip_dim_index);
   }
 
+  /// The label IP dimension \p ip_dim_index (0..3) gives \p r's
+  /// segment, read as an uncounted controller peek; nullopt when no
+  /// installed rule holds that segment.
+  [[nodiscard]] std::optional<Label> ip_label(usize ip_dim_index,
+                                              const ruleset::Rule& r) const {
+    return ip_tables_.at(ip_dim_index).find(ip_segment(r, ip_dim_index));
+  }
+
   /// The phase-3 partial-combination filter.
   [[nodiscard]] const PartialFilter& partial_filter() const {
     return *partial_filter_;
@@ -293,9 +301,8 @@ class ConfigurableClassifier {
                                        hw::CycleRecorder* rec) const;
 
   /// The exact phase-3 combine of classify() over the seven label
-  /// lists, indexed by dimension. The port and protocol lists come in
-  /// ascending-bound order with their bounds in \p bounds; the IP
-  /// dimensions carry no bounds (empty). Walks the label combinations
+  /// lists, indexed by dimension. Every list comes in ascending-bound
+  /// order with its bounds in \p bounds. Walks the label combinations
   /// depth-first (port and protocol dimensions outermost), checks the
   /// partial-combination filter once a src_ip_hi label is chosen, and
   /// cuts every branch that no rule holds or whose bound is strictly
@@ -323,8 +330,9 @@ class ConfigurableClassifier {
   alg::LabelTable<ruleset::PortRange> sport_table_;
   alg::LabelTable<ruleset::PortRange> dport_table_;
   alg::LabelTable<ruleset::ProtoMatch> proto_table_;
-  /// Best priority per live label: orders the IP label lists, and is
-  /// what the port/protocol bound fields were last written from.
+  /// Best priority per live label: orders the IP label lists and gives
+  /// the bounds written into them, and is what the port/protocol bound
+  /// fields were last written from.
   std::array<std::vector<Priority>, kNumDimensions> label_prio_;
 
   // Device-side blocks.

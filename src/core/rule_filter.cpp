@@ -66,10 +66,9 @@ void ProbeTable::insert(const Key68& key, u64 value, hw::CommandLog& log) {
   if (live_ >= mem_.depth()) {
     throw CapacityError("ProbeTable '" + mem_.name() + "': table full");
   }
-  const u32 home = hasher_(key);
   std::optional<u32> reusable;
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_; ++probe, addr = next(addr)) {
     const Slot s = decode(addr, nullptr);
     if (s.valid && s.key == key) {
       throw InternalError("ProbeTable '" + mem_.name() +
@@ -133,9 +132,8 @@ void ProbeTable::insert_reseeding(const Key68& key, u64 value,
 }
 
 std::optional<u32> ProbeTable::find(const Key68& key) const {
-  const u32 home = hasher_(key);
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_; ++probe, addr = next(addr)) {
     const Slot s = decode(addr, nullptr);
     if (s.valid && s.key == key) {
       return addr;
@@ -214,9 +212,8 @@ std::optional<u64> ProbeTable::lookup(const Key68& key,
   if (rec != nullptr) {
     rec->charge(1, 0);  // hardware hash unit, one cycle
   }
-  const u32 home = hasher_(key);
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_; ++probe, addr = next(addr)) {
     const Slot s = decode(addr, rec);
     if (s.valid && s.key == key) {
       return s.value;

@@ -124,6 +124,10 @@ class ProbeTable {
   [[nodiscard]] std::optional<u32> find(const Key68& key) const;
   [[nodiscard]] Slot decode(u32 addr, hw::CycleRecorder* rec) const;
   void encode(u32 addr, const Slot& s, hw::CommandLog& log);
+  /// The next slot of a probe chain, wrapping at the table's end.
+  [[nodiscard]] u32 next(u32 addr) const {
+    return addr + 1 == mem_.depth() ? 0 : addr + 1;
+  }
 
   hw::Memory mem_;
   Key68Hasher hasher_;

@@ -99,12 +99,15 @@ std::vector<Label> L(std::initializer_list<int> xs) {
   for (int x : xs) out.push_back(Label{static_cast<u16>(x)});
   return out;
 }
+
+/// Best priority of a label in these tests: ten times its value.
+const PrioOf kPrio = [](Label l) { return Priority{l.value} * 10u; };
 }  // namespace
 
 TEST(ListStore, StoresAndReadsBack) {
   LabelListStore s("s", 64, 13);
   hw::CommandLog log;
-  const ListRef r = s.acquire(L({3, 1, 2}), log);
+  const ListRef r = s.acquire(L({3, 1, 2}), kPrio, log);
   ASSERT_FALSE(r.empty());
   hw::CycleRecorder rec;
   EXPECT_EQ(s.read_first(r, &rec).value, 3u);
@@ -118,26 +121,26 @@ TEST(ListStore, StoresAndReadsBack) {
 TEST(ListStore, ContentAddressedDedup) {
   LabelListStore s("s", 64, 13);
   hw::CommandLog log;
-  const ListRef a = s.acquire(L({1, 2}), log);
+  const ListRef a = s.acquire(L({1, 2}), kPrio, log);
   const usize words_after_first = log.size();
-  const ListRef b = s.acquire(L({1, 2}), log);
+  const ListRef b = s.acquire(L({1, 2}), kPrio, log);
   EXPECT_EQ(a, b);                            // same storage
   EXPECT_EQ(log.size(), words_after_first);   // no new device writes
   EXPECT_EQ(s.distinct_lists(), 1u);
-  const ListRef c = s.acquire(L({2, 1}), log);  // order matters
+  const ListRef c = s.acquire(L({2, 1}), kPrio, log);  // order matters
   EXPECT_NE(a, c);
 }
 
 TEST(ListStore, ReleaseFreesAndReuses) {
   LabelListStore s("s", 8, 13);  // tiny: 7 usable words
   hw::CommandLog log;
-  const ListRef a = s.acquire(L({1, 2, 3}), log);
-  const ListRef b = s.acquire(L({4, 5, 6}), log);
+  const ListRef a = s.acquire(L({1, 2, 3}), kPrio, log);
+  const ListRef b = s.acquire(L({4, 5, 6}), kPrio, log);
   EXPECT_EQ(s.live_words(), 6u);
   s.release(a);
   EXPECT_EQ(s.live_words(), 3u);
   // Freed block is reusable; without reuse this would overflow depth 8.
-  const ListRef c = s.acquire(L({7, 8, 9}), log);
+  const ListRef c = s.acquire(L({7, 8, 9}), kPrio, log);
   EXPECT_FALSE(c.empty());
   (void)b;
 }
@@ -145,8 +148,8 @@ TEST(ListStore, ReleaseFreesAndReuses) {
 TEST(ListStore, RefcountAcrossAcquires) {
   LabelListStore s("s", 32, 13);
   hw::CommandLog log;
-  const ListRef a = s.acquire(L({5}), log);
-  const ListRef b = s.acquire(L({5}), log);
+  const ListRef a = s.acquire(L({5}), kPrio, log);
+  const ListRef b = s.acquire(L({5}), kPrio, log);
   s.release(a);
   // Still alive through b.
   EXPECT_EQ(s.read_first(b, nullptr).value, 5u);
@@ -158,21 +161,21 @@ TEST(ListStore, RefcountAcrossAcquires) {
 TEST(ListStore, CapacityError) {
   LabelListStore s("s", 4, 13);  // 3 usable words (addr 0 reserved)
   hw::CommandLog log;
-  (void)s.acquire(L({1, 2}), log);
-  EXPECT_THROW((void)s.acquire(L({3, 4}), log), CapacityError);
+  (void)s.acquire(L({1, 2}), kPrio, log);
+  EXPECT_THROW((void)s.acquire(L({3, 4}), kPrio, log), CapacityError);
 }
 
 TEST(ListStore, EmptyListRejected) {
   LabelListStore s("s", 8, 13);
   hw::CommandLog log;
-  EXPECT_THROW((void)s.acquire({}, log), ConfigError);
+  EXPECT_THROW((void)s.acquire({}, kPrio, log), ConfigError);
   EXPECT_EQ(s.read_list(ListRef{}, nullptr).size(), 0u);
 }
 
 TEST(ListStore, DoubleFreeDetected) {
   LabelListStore s("s", 8, 13);
   hw::CommandLog log;
-  const ListRef a = s.acquire(L({1}), log);
+  const ListRef a = s.acquire(L({1}), kPrio, log);
   s.release(a);
   EXPECT_THROW(s.release(a), InternalError);
 }
@@ -180,26 +183,102 @@ TEST(ListStore, DoubleFreeDetected) {
 TEST(ListStore, CoalescingAllowsLargeReuse) {
   LabelListStore s("s", 16, 13);
   hw::CommandLog log;
-  const ListRef a = s.acquire(L({1, 2}), log);
-  const ListRef b = s.acquire(L({3, 4}), log);
-  const ListRef c = s.acquire(L({5, 6}), log);
+  const ListRef a = s.acquire(L({1, 2}), kPrio, log);
+  const ListRef b = s.acquire(L({3, 4}), kPrio, log);
+  const ListRef c = s.acquire(L({5, 6}), kPrio, log);
   s.release(a);
   s.release(b);
   s.release(c);  // all free -> coalesced -> bump reset
   // A 15-word list now fits even though the store saw fragmentation.
   const ListRef big = s.acquire(
-      L({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}), log);
+      L({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}), kPrio, log);
   EXPECT_FALSE(big.empty());
 }
 
-TEST(ListStore, WordLayoutHasEndFlag) {
+TEST(ListStore, WordLayoutHasEndFlagAndBound) {
   LabelListStore s("s", 8, 13);
+  EXPECT_EQ(s.memory().word_bits(), 13u + 1u + 16u);
   hw::CommandLog log;
-  const ListRef r = s.acquire(L({7, 9}), log);
+  const ListRef r = s.acquire(L({7, 9}), kPrio, log);
   const hw::Word w0 = s.memory().read(r.addr, nullptr);
   const hw::Word w1 = s.memory().read(r.addr + 1, nullptr);
   EXPECT_EQ(w0.get(0, 13), 7u);
   EXPECT_EQ(w0.get(13, 1), 0u);  // not last
+  EXPECT_EQ(w0.get(14, 16), 70u);
   EXPECT_EQ(w1.get(0, 13), 9u);
   EXPECT_EQ(w1.get(13, 1), 1u);  // last
+  EXPECT_EQ(w1.get(14, 16), 90u);
+
+  hw::CycleRecorder rec;
+  LabelVec labels;
+  BoundVec bounds;
+  s.read_bounded_into(r, &rec, labels, bounds);
+  ASSERT_EQ(labels.size(), 2u);
+  EXPECT_EQ(bounds[0], 70u);
+  EXPECT_EQ(bounds[1], 90u);
+  EXPECT_EQ(rec.memory_accesses(), 2u);  // one read per label, as before
+}
+
+TEST(ListStore, SameLabelsWithOtherBoundsAreAnotherList) {
+  LabelListStore s("s", 16, 13);
+  hw::CommandLog log;
+  const ListRef a = s.acquire(L({1, 2}), kPrio, log);
+  const ListRef b =
+      s.acquire(L({1, 2}), [](Label) { return Priority{0}; }, log);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(s.distinct_lists(), 2u);
+  EXPECT_EQ(s.read_list(a, nullptr), s.read_list(b, nullptr));
+}
+
+TEST(ListStore, RepointKeepsStaleLowBoundsAndLowersHighOnes) {
+  LabelListStore s("s", 16, 13);
+  hw::CommandLog log;
+  Priority best = 20;
+  const PrioOf prio = [&](Label l) { return l.value == 1 ? best : 50u; };
+  const ListRef held = s.acquire(L({1, 2}), prio, log);
+  const usize writes = log.size();
+
+  // Label 1's best worsens: the stored 20 stays (still a lower bound).
+  best = 30;
+  EXPECT_EQ(s.repoint(held, L({1, 2}), prio, log), held);
+  EXPECT_EQ(log.size(), writes);
+
+  // It improves past the stored bound: the list is rewritten.
+  best = 10;
+  const ListRef moved = s.repoint(held, L({1, 2}), prio, log);
+  EXPECT_NE(moved, held);
+  EXPECT_EQ(log.size(), writes + 2);
+  LabelVec labels;
+  BoundVec bounds;
+  s.read_bounded_into(moved, nullptr, labels, bounds);
+  EXPECT_EQ(bounds[0], 10u);
+  EXPECT_EQ(bounds[1], 50u);
+  EXPECT_EQ(s.distinct_lists(), 1u);  // the held list was released
+
+  // Other labels, or none, always move.
+  EXPECT_NE(s.repoint(moved, L({1}), prio, log), moved);
+  EXPECT_EQ(s.repoint(ListRef{s.live_lists().front()}, {}, prio, log),
+            ListRef{});
+  EXPECT_EQ(s.distinct_lists(), 0u);
+}
+
+TEST(ListStore, IndexSurvivesGrowthAndBackwardShiftDeletes) {
+  // Far more lists than the index's initial 16 slots, released in an
+  // interleaved order: every survivor must still dedup and read back.
+  LabelListStore s("s", 1024, 13);
+  hw::CommandLog log;
+  std::vector<ListRef> refs;
+  for (int i = 1; i <= 200; ++i) {
+    refs.push_back(s.acquire(L({i, i + 1}), kPrio, log));
+  }
+  EXPECT_EQ(s.distinct_lists(), 200u);
+  for (usize i = 0; i < refs.size(); i += 3) s.release(refs[i]);
+  for (usize i = 0; i < refs.size(); ++i) {
+    if (i % 3 == 0) continue;
+    const int v = static_cast<int>(i) + 1;
+    EXPECT_EQ(s.acquire(L({v, v + 1}), kPrio, log), refs[i]) << i;
+    EXPECT_EQ(s.read_list(refs[i], nullptr), L({v, v + 1}));
+  }
+  EXPECT_EQ(s.distinct_lists(), 200u - 67u);
+  EXPECT_EQ(s.total_references(), 2u * (200u - 67u));
 }

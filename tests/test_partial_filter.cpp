@@ -130,8 +130,10 @@ TEST(PartialFilter, AbsentPartialTupleIssuesNoProbesBelowIt) {
   ASSERT_TRUE(res.match.has_value());
   EXPECT_EQ(res.match->rule, r1.id);
   EXPECT_EQ(res.filter_checks, 2u);
-  // Both probes sit under the held prefix: R1's tail and R3's.
-  EXPECT_EQ(res.crossproduct_probes, 2u);
+  // The one probe sits under the held prefix: R1's tail. R3's tail
+  // follows it in the dst_ip_hi list with bound 20, worse than R1's 10,
+  // so the list's bound cuts it unprobed.
+  EXPECT_EQ(res.crossproduct_probes, 1u);
 }
 
 TEST(PartialFilter, EqualPriorityAcrossFilterCutResolvesToLowerId) {

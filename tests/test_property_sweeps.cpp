@@ -230,7 +230,8 @@ TEST(ListStoreProperty, RefcountNeverLeaksUnderChurn) {
         list.push_back(Label{static_cast<u16>(rng.below(64))});
       }
       try {
-        const ListRef r = s.acquire(list, log);
+        const ListRef r =
+            s.acquire(list, [](Label l) { return Priority{l.value}; }, log);
         live.emplace_back(r, std::move(list));
       } catch (const CapacityError&) {
         // fine under churn with a tiny store
